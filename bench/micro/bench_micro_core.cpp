@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark): the hot primitives underneath
-// every experiment — registry lookups, placement arithmetic, sample
-// (de)serialization, batch collation, spectrum smoothing, page-cache
-// access, and the contention primitive.  These measure real wall time of
-// this implementation (unlike the figure benches, which report simulated
-// time).
+// every experiment — registry lookups, placement arithmetic, the sample
+// checksum, sample (de)serialization, batch collation, spectrum smoothing,
+// page-cache access, and the contention primitive.  These measure real
+// wall time of this implementation (unlike the figure benches, which
+// report simulated time).
 #include <benchmark/benchmark.h>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/registry.hpp"
@@ -65,6 +66,24 @@ void BM_SampleDeserialize(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_SampleDeserialize);
+
+// The per-sample integrity check every verified fetch (and every preload
+// sample) pays on the host.  Arg 0 digests one serialized molecule sample;
+// a positive arg digests a zero-filled buffer of that many bytes.
+void BM_Checksum64(benchmark::State& state) {
+  ByteBuffer bytes(static_cast<std::size_t>(state.range(0)));
+  if (bytes.empty()) {
+    Rng rng(10);
+    bytes = datagen::molecule_to_sample(datagen::generate_molecule(rng), 0)
+                .to_bytes();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checksum64(ByteSpan(bytes)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Checksum64)->Arg(0)->Arg(64 << 10);
 
 void BM_CollateBatch(benchmark::State& state) {
   Rng rng(5);

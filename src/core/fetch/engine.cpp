@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "common/tracing/tracer.hpp"
@@ -155,6 +156,12 @@ void FetchEngine::fetch_into(std::uint64_t id, MutableByteSpan dst,
     const auto* region = static_cast<const std::byte*>(
         ctx_.window->region_data(ctx_.primary_target(owner)));
     std::memcpy(dst.data(), region + entry.offset, dst.size());
+    // Verified like every other path; the broker has no retry route, so a
+    // mismatch is fatal.
+    if (!resilience_.payload_intact(entry, ByteSpan(dst))) {
+      throw DataError("two-sided fetch of sample " + std::to_string(id) +
+                      ": checksum mismatch");
+    }
     auto& rt = comm.runtime();
     const double poll =
         comm.rng().exponential(1.0 / ctx_.config->broker_poll_mean_s);

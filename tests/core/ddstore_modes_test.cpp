@@ -49,6 +49,63 @@ TEST_F(ModesTest, TwoSidedModeReturnsCorrectData) {
   });
 }
 
+TEST_F(ModesTest, TwoSidedVerifiedEpochServesIdenticalBytesAtNoModeledCost) {
+  // One epoch over every sample with verification on and off: the served
+  // bytes are the staged bytes, nothing fails verification, and the
+  // check leaves the modeled clock exactly where it was.
+  double epoch_time[2] = {0, 0};
+  for (const bool verify : {false, true}) {
+    simmpi::Runtime rt(4, machine_);
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      DDStoreConfig cfg;
+      cfg.comm_mode = CommMode::TwoSided;
+      cfg.retry.verify_checksums = verify;
+      DDStore store(c, *reader_, client, cfg);
+      c.barrier();
+      c.clock().reset();
+      for (std::uint64_t id = 0; id < kSamples; ++id) {
+        EXPECT_EQ(store.get_bytes(id), reader_->read_bytes_raw(id))
+            << "sample " << id;
+      }
+      EXPECT_EQ(store.stats().checksum_failures, 0u);
+      EXPECT_GT(store.stats().remote_gets, 0u);
+      const double t = c.allreduce(c.clock().now(), simmpi::Op::Max);
+      if (c.rank() == 0) epoch_time[verify ? 1 : 0] = t;
+    });
+  }
+  EXPECT_GT(epoch_time[0], 0.0);
+  EXPECT_EQ(epoch_time[1], epoch_time[0]);
+}
+
+TEST_F(ModesTest, TwoSidedCorruptRegionThrowsDataError) {
+  simmpi::Runtime rt(2, machine_);
+  rt.run([&](simmpi::Comm& c) {
+    auto client = client_for(c);
+    DDStoreConfig cfg;
+    cfg.comm_mode = CommMode::TwoSided;
+    DDStore store(c, *reader_, client, cfg);
+    c.barrier();
+    if (c.rank() == 0) {
+      std::uint64_t remote_id = 0;
+      while (store.is_local(remote_id)) ++remote_id;
+      const auto& entry = store.registry().lookup(remote_id);
+      // The broker serves from the owner's exposed region; damage one byte
+      // of it, fetch, then restore it.
+      const int target = store.layout().primary_target(
+          c.rank(), static_cast<int>(entry.owner));
+      auto* region = static_cast<std::byte*>(
+          const_cast<void*>(store.rma_window().region_data(target)));
+      region[entry.offset] ^= std::byte{0x01};
+      EXPECT_THROW(store.get_bytes(remote_id), DataError);
+      region[entry.offset] ^= std::byte{0x01};
+      EXPECT_EQ(store.stats().checksum_failures, 1u);
+      EXPECT_EQ(store.get_bytes(remote_id), reader_->read_bytes_raw(remote_id));
+    }
+    c.barrier();
+  });
+}
+
 TEST_F(ModesTest, TwoSidedSlowerThanRmaWithSlowBroker) {
   double rma_time = 0, two_sided_time = 0;
   for (const bool two_sided : {false, true}) {
