@@ -59,7 +59,7 @@ void elastic_recovery_cell(StagedData& data,
                            bool rebuild) {
   const int epochs = 4;
   data.fs().reset_time_state();
-  simmpi::Runtime rt(nranks, machine, /*seed=*/42, /*deterministic=*/true);
+  simmpi::Runtime rt(nranks, machine, /*seed=*/42);
   faults::FaultConfig fc;
   fc.dead_rank = 2;
   fc.death_time_s = 0.0;

@@ -7,7 +7,6 @@
 // sample.  Under a global-shuffle workload neighbours are rarely wanted
 // soon, so larger chunks mostly waste bandwidth — quantified here.
 #include <cstdio>
-#include <mutex>
 
 #include "common/harness.hpp"
 #include "formats/h5f.hpp"
@@ -29,7 +28,6 @@ void measure(const Arm& arm, fs::ParallelFileSystem& pfs,
   pfs.reset_time_state();
   LatencyRecorder latencies;
   double throughput = 0;
-  std::mutex m;
 
   simmpi::Runtime rt(nranks, machine);
   rt.run([&](simmpi::Comm& comm) {
@@ -47,7 +45,6 @@ void measure(const Arm& arm, fs::ParallelFileSystem& pfs,
     }
     const auto lat = trainer.gather_latencies();
     if (comm.rank() == 0) {
-      const std::scoped_lock lock(m);
       throughput = tput;
       latencies = lat;
     }

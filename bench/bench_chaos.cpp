@@ -6,7 +6,7 @@
 //   1. a fault-free reference run measures T, the baseline epoch duration
 //      (and the baseline fetch-latency p99);
 //   2. the scenario's normalized schedule is materialized against T, armed
-//      on a fresh deterministic runtime, and the run is driven epoch by
+//      on a fresh runtime, and the run is driven epoch by
 //      epoch — every fetched sample is compared byte-for-byte against the
 //      synthetic dataset's ground truth, every epoch duration is checked
 //      against the inflation bound, counters are audited at the end;
@@ -15,8 +15,8 @@
 //   4. single_straggler additionally runs a hedging-disabled A/B twin: the
 //      pinned cell requires hedged p99 fetch latency to be >= 3x better.
 //
-// All runs use the cooperative TurnScheduler (deterministic=true), so the
-// replay check is exact, not statistical.  Output is one JSON object with
+// Every run is deterministic (ranks are fibers on one thread, scheduled
+// in a fixed order), so the replay check is exact, not statistical.  Output is one JSON object with
 // a per-scenario verdict; --smoke exits nonzero if any scenario fails an
 // invariant or the pinned A/B cell misses.
 #include <algorithm>
@@ -71,7 +71,7 @@ ChaosRun run_scenario(StagedData& data, const model::MachineConfig& machine,
                        double reference_T, bool hedge_on) {
   ChaosRun out;
   data.fs().reset_time_state();
-  simmpi::Runtime rt(kRanks, machine, /*seed=*/42, /*deterministic=*/true);
+  simmpi::Runtime rt(kRanks, machine, /*seed=*/42);
   if (reference_T > 0.0 && scenario.faults.any()) {
     rt.set_fault_injector(std::make_shared<faults::FaultInjector>(
         faults::materialize(scenario.faults, reference_T), kRanks));

@@ -1,9 +1,9 @@
 // CI perf gate: pinned canonical configurations whose modeled epoch times
 // must be *exactly* reproducible run-to-run.
 //
-// Every cell runs under the deterministic TurnScheduler (Scenario::
-// deterministic = true), so the virtual-time model produces bit-identical
-// doubles on repeated runs of the same binary.  The sweep is width {1,2,4}
+// Every cell runs its ranks as fibers in a fixed cyclic order, so the
+// virtual-time model produces bit-identical doubles on repeated runs of
+// the same binary.  The sweep is width {1,2,4}
 // x pipeline {per-sample+Pipelined, coalesced+Prefetching} x cache
 // {off, unbounded} on 8 Perlmutter ranks — 12 cells covering the fetch
 // planner, the prefetch overlap model, and the hot-sample cache.
@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
                                   /*floor_samples=*/256);
   sc.seed = 42;
   sc.ddstore.charge_replica_preload = false;
-  sc.deterministic = true;
 
   StagedData data(machine, sc.kind, sc.num_samples, sc.nranks,
                   /*with_pff=*/false);

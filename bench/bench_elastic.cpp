@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   // ---- width_sweep: static epochs at every divisor width --------------
   for (const int width : {1, 2, 4, 8}) {
     data.fs().reset_time_state();
-    simmpi::Runtime rt(kRanks, machine, /*seed=*/42, /*deterministic=*/true);
+    simmpi::Runtime rt(kRanks, machine, /*seed=*/42);
     rt.run([&](simmpi::Comm& c) {
       fs::FsClient client(data.fs(), machine.node_of_rank(c.world_rank()),
                           c.clock(), c.rng());
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   // ---- reshard_costs: each step of the ladder, modeled vs measured ----
   {
     data.fs().reset_time_state();
-    simmpi::Runtime rt(kRanks, machine, /*seed=*/42, /*deterministic=*/true);
+    simmpi::Runtime rt(kRanks, machine, /*seed=*/42);
     rt.run([&](simmpi::Comm& c) {
       fs::FsClient client(data.fs(), machine.node_of_rank(c.world_rank()),
                           c.clock(), c.rng());
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   // ---- adaptive: ElasticDriver walks full stripe -> budget floor ------
   {
     data.fs().reset_time_state();
-    simmpi::Runtime rt(kRanks, machine, /*seed=*/42, /*deterministic=*/true);
+    simmpi::Runtime rt(kRanks, machine, /*seed=*/42);
     rt.run([&](simmpi::Comm& c) {
       fs::FsClient client(data.fs(), machine.node_of_rank(c.world_rank()),
                           c.clock(), c.rng());
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   // ---- trainer_hook: the driver mounted on SimulatedTrainer -----------
   {
     data.fs().reset_time_state();
-    simmpi::Runtime rt(kRanks, machine, /*seed=*/42, /*deterministic=*/true);
+    simmpi::Runtime rt(kRanks, machine, /*seed=*/42);
     rt.run([&](simmpi::Comm& c) {
       fs::FsClient client(data.fs(), machine.node_of_rank(c.world_rank()),
                           c.clock(), c.rng());

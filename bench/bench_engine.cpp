@@ -1,28 +1,14 @@
-// Engine micro-bench: wall-clock simulation throughput, threads vs fibers.
+// Engine micro-bench: wall-clock simulation throughput of the fiber
+// scheduler.
 //
 // Each cell runs N simulated ranks through K scheduler-heavy steps — an
 // allreduce, a parity-ordered ring send/recv, and a barrier per step, i.e.
 // dozens of cooperative yield points — and reports wall-clock rank-steps
-// per second.  Three backends per rank count:
+// per second, the modeled virtual seconds, and the fiber switch count.
 //
-//   fibers      — the default engine: all ranks as stackful fibers on one
-//                 OS thread (userspace switches only);
-//   threads-det — the legacy engine under the deterministic TurnScheduler
-//                 (one kernel wake + context switch per token hop: what
-//                 bench_ci_perf used before this engine existed);
-//   threads     — the legacy engine free-running (kernel scheduler noise,
-//                 no token, the old non-deterministic default).
-//
-// The modeled virtual seconds are also reported: fibers and threads-det
-// execute the identical cyclic rotation, so their `modeled_s` must match
-// bit for bit (free-running threads may order BusyResource arrivals
-// differently).  Step counts shrink as thread-engine rank counts grow —
-// the whole point is that OS threads stop scaling — and the JSON records
-// the per-cell step count so rank_steps_per_s stays comparable.
-//
-// Output: a JSON array, one object per (engine, nranks) cell.  `--smoke`
-// shrinks rank counts and steps to a seconds-scale CI configuration with
-// the same shape.
+// Output: a JSON array, one object per rank count (64, 256, 1024).
+// `--smoke` shrinks rank counts and steps to a seconds-scale CI
+// configuration with the same shape.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -37,20 +23,7 @@ using namespace dds::bench;
 
 namespace {
 
-struct EngineCell {
-  const char* label;
-  simmpi::Engine engine;
-  bool deterministic;
-};
-
-constexpr EngineCell kEngines[] = {
-    {"fibers", simmpi::Engine::Fibers, true},
-    {"threads-det", simmpi::Engine::Threads, true},
-    {"threads", simmpi::Engine::Threads, false},
-};
-
-/// One scheduler-heavy simulated step (every op is a yield point under a
-/// cooperative engine).
+/// One scheduler-heavy simulated step (every op is a yield point).
 void step(simmpi::Comm& c, int s) {
   double v = static_cast<double>(c.rank() + s);
   v = c.allreduce(v, simmpi::Op::Sum);
@@ -73,9 +46,8 @@ struct CellResult {
   std::uint64_t switches = 0;
 };
 
-CellResult run_cell(const EngineCell& eng, int nranks, int steps) {
-  simmpi::Runtime rt(nranks, model::perlmutter(), /*seed=*/42,
-                     eng.deterministic, eng.engine);
+CellResult run_cell(int nranks, int steps) {
+  simmpi::Runtime rt(nranks, model::perlmutter(), /*seed=*/42);
   const auto t0 = std::chrono::steady_clock::now();
   rt.run([&](simmpi::Comm& c) {
     for (int s = 0; s < steps; ++s) step(c, s);
@@ -84,20 +56,8 @@ CellResult run_cell(const EngineCell& eng, int nranks, int steps) {
   CellResult r;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.modeled_s = rt.max_clock();
-  if (rt.fiber_scheduler() != nullptr) {
-    r.switches = rt.fiber_scheduler()->switch_count();
-  }
+  r.switches = rt.fiber_scheduler()->switch_count();
   return r;
-}
-
-/// Thread-engine cost per step grows with N (kernel hops per token
-/// rotation), so large-N thread cells get few steps; rank_steps_per_s
-/// normalizes the comparison.
-int steps_for(const EngineCell& eng, int nranks, bool smoke) {
-  if (eng.engine == simmpi::Engine::Fibers) return smoke ? 20 : 50;
-  if (nranks >= 1024) return 2;
-  if (nranks >= 256) return smoke ? 3 : 5;
-  return smoke ? 5 : 20;
 }
 
 }  // namespace
@@ -110,25 +70,24 @@ int main(int argc, char** argv) {
   const std::vector<int> rank_counts =
       smoke ? std::vector<int>{16, 64, 256} : std::vector<int>{64, 256, 1024};
 
+  const int steps = smoke ? 20 : 50;
+
   std::printf("[\n");
   bool first = true;
   for (const int nranks : rank_counts) {
-    for (const auto& eng : kEngines) {
-      const int steps = steps_for(eng, nranks, smoke);
-      const auto r = run_cell(eng, nranks, steps);
-      const double rank_steps =
-          static_cast<double>(nranks) * static_cast<double>(steps);
-      if (!first) std::printf(",\n");
-      first = false;
-      std::printf(
-          "  {\"engine\": \"%s\", \"nranks\": %d, \"steps\": %d, "
-          "\"wall_s\": %s, \"rank_steps_per_s\": %s, \"modeled_s\": %s, "
-          "\"fiber_switches\": %llu}",
-          eng.label, nranks, steps, fmt(r.wall_s, 4).c_str(),
-          fmt(rank_steps / r.wall_s, 0).c_str(), fmt(r.modeled_s, 9).c_str(),
-          static_cast<unsigned long long>(r.switches));
-      std::fflush(stdout);
-    }
+    const auto r = run_cell(nranks, steps);
+    const double rank_steps =
+        static_cast<double>(nranks) * static_cast<double>(steps);
+    if (!first) std::printf(",\n");
+    first = false;
+    std::printf(
+        "  {\"engine\": \"fibers\", \"nranks\": %d, \"steps\": %d, "
+        "\"wall_s\": %s, \"rank_steps_per_s\": %s, \"modeled_s\": %s, "
+        "\"fiber_switches\": %llu}",
+        nranks, steps, fmt(r.wall_s, 4).c_str(),
+        fmt(rank_steps / r.wall_s, 0).c_str(), fmt(r.modeled_s, 9).c_str(),
+        static_cast<unsigned long long>(r.switches));
+    std::fflush(stdout);
   }
   std::printf("\n]\n");
   return 0;

@@ -62,8 +62,7 @@ int main() {
   // Paper scale: 64 nodes (Summit widths 12..384, Perlmutter 8..256).
   run_machine(model::summit(), 64);
   run_machine(model::perlmutter(), 64);
-  // Full machine width: 256 nodes = 1536 / 1024 GPUs (fiber engine only in
-  // practice — the thread engine cannot hold this many ranks usefully).
+  // Full machine width: 256 nodes = 1536 / 1024 GPUs.
   run_machine(model::summit(), 256);
   run_machine(model::perlmutter(), 256);
   return 0;

@@ -9,7 +9,6 @@
 // duration, while MPI RMA functions contribute to about 35% of the
 // overall time spent in training."
 #include <cstdio>
-#include <mutex>
 
 #include "common/harness.hpp"
 #include "common/tracing/export.hpp"
@@ -35,7 +34,6 @@ int main() {
 
   train::Tracer merged;
   core::DDStoreStats store_stats;
-  std::mutex m;
 
   simmpi::Runtime rt(kRanks, machine, sc.seed);
   // ~1.5k events per rank for this configuration; 8k slots leave headroom
@@ -64,11 +62,8 @@ int main() {
     trainer.set_tracer(&tracer);
     trainer.run_epoch(0);
 
-    {
-      const std::scoped_lock lock(m);
-      merged.merge(tracer);
-      if (comm.rank() == 0) store_stats = store.stats();
-    }
+    merged.merge(tracer);
+    if (comm.rank() == 0) store_stats = store.stats();
     comm.barrier();
   });
 

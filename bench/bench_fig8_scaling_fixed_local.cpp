@@ -8,8 +8,8 @@
 // run-to-run variability.
 //
 // The full sweep reaches the paper's top widths (1536 Summit GPUs, 1024
-// Perlmutter GPUs) — practical only under the fiber engine, which runs
-// every simulated rank as a userspace fiber instead of an OS thread.
+// Perlmutter GPUs): every simulated rank is a userspace fiber, so 1024+
+// ranks fit in one process.
 // `--smoke` runs the 1024-rank Perlmutter point alone through one short
 // DDStore epoch (CI's large-N gate).
 #include <chrono>
@@ -65,8 +65,8 @@ void run_machine(const model::MachineConfig& machine,
 
 /// CI large-N gate: 256 Perlmutter nodes = 1024 simulated ranks through
 /// one short DDStore epoch.  Exits non-zero unless the epoch completes
-/// with positive throughput; prints the engine and wall time so CI logs
-/// document what the fiber engine buys.
+/// with positive throughput; prints the wall time so CI logs document
+/// the simulator's speed at this scale.
 int run_smoke() {
   const auto machine = model::perlmutter();
   const int nranks = 256 * machine.gpus_per_node;  // 1024
@@ -79,10 +79,9 @@ int run_smoke() {
   sc.num_samples = scaled_samples(nranks, sc.local_batch, /*min_steps=*/2);
   sc.ddstore.charge_replica_preload = false;
 
-  std::printf("# Fig. 8 --smoke: %d ranks (256 Perlmutter nodes), engine=%s, "
+  std::printf("# Fig. 8 --smoke: %d ranks (256 Perlmutter nodes), "
               "%llu samples, one epoch\n",
-              nranks, simmpi::engine_name(simmpi::engine_from_env()),
-              static_cast<unsigned long long>(sc.num_samples));
+              nranks, static_cast<unsigned long long>(sc.num_samples));
   const auto t0 = std::chrono::steady_clock::now();
   StagedData data(machine, sc.kind, sc.num_samples, nranks,
                   /*with_pff=*/false);

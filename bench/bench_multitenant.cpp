@@ -63,7 +63,7 @@ CellResult run_cell(StagedData& data, const model::MachineConfig& machine,
                     tenant::QosPolicy policy, int epochs) {
   data.fs().reset_time_state();
   CellResult out;
-  simmpi::Runtime rt(nranks, machine, /*seed=*/42, /*deterministic=*/true);
+  simmpi::Runtime rt(nranks, machine, /*seed=*/42);
   rt.run([&](simmpi::Comm& comm) {
     fs::FsClient client(data.fs(), machine.node_of_rank(comm.world_rank()),
                         comm.clock(), comm.rng());
@@ -140,7 +140,7 @@ std::vector<EpochPoint> run_real_curve(StagedData& data,
   constexpr int kRanks = 2;
   data.fs().reset_time_state();
   std::vector<EpochPoint> curve;
-  simmpi::Runtime rt(kRanks, machine, 42, true);
+  simmpi::Runtime rt(kRanks, machine, 42);
   rt.run([&](simmpi::Comm& comm) {
     fs::FsClient client(data.fs(), machine.node_of_rank(comm.world_rank()),
                         comm.clock(), comm.rng());

@@ -64,7 +64,7 @@ double drain_epoch(StagedData& data, const model::MachineConfig& machine,
                    double hot_fraction, int depth, core::DDStoreStats* stats) {
   data.fs().reset_time_state();
   double epoch_s = 0;
-  simmpi::Runtime rt(nranks, machine, /*seed=*/42, /*deterministic=*/true);
+  simmpi::Runtime rt(nranks, machine, /*seed=*/42);
   rt.run([&](simmpi::Comm& c) {
     fs::FsClient client(data.fs(), machine.node_of_rank(c.world_rank()),
                         c.clock(), c.rng());

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "sched/sampler.hpp"
 
@@ -119,17 +118,12 @@ std::string metrics_json_fields(
 RunResult run_training(StagedData& data, const Scenario& scenario,
                        BackendKind backend) {
   RunResult result;
-  std::mutex result_mutex;
 
   // Each run starts from a cold filesystem (queues drained, caches empty);
   // a previous backend's timeline must not leak into this one.
   data.fs().reset_time_state();
 
-  const char* force_det = std::getenv("DDS_DETERMINISTIC");
-  const bool deterministic =
-      scenario.deterministic || (force_det != nullptr && *force_det == '1');
-  simmpi::Runtime rt(scenario.nranks, scenario.machine, scenario.seed,
-                     deterministic, scenario.engine);
+  simmpi::Runtime rt(scenario.nranks, scenario.machine, scenario.seed);
   if (scenario.faults.any()) {
     rt.set_fault_injector(std::make_shared<faults::FaultInjector>(
         scenario.faults, scenario.nranks));
@@ -203,7 +197,6 @@ RunResult run_training(StagedData& data, const Scenario& scenario,
     const LatencyRecorder all_latencies = trainer.gather_latencies();
 
     if (comm.rank() == 0) {
-      const std::scoped_lock lock(result_mutex);
       result.epochs = std::move(reports);
       result.latencies = all_latencies;
       result.preload_seconds = preload;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/ddstore.hpp"
@@ -62,15 +61,6 @@ struct Scenario {
   train::LoaderMode loader_mode = train::LoaderMode::Pipelined;
   int prefetch_depth = 2;
   ShuffleKind shuffle = ShuffleKind::Global;
-  /// Serialize ranks cooperatively so modeled times are bit-identical
-  /// across runs (required by bench_ci_perf / the CI perf gate).  Under
-  /// the default fiber engine every run is cooperative already; the flag
-  /// matters only for Engine::Threads.  The DDS_DETERMINISTIC=1 env var
-  /// forces this on for any bench without recompiling.
-  bool deterministic = false;
-  /// Execution engine override; unset defers to DDS_ENGINE (default:
-  /// fibers).  bench_engine pins this per cell to compare backends.
-  std::optional<simmpi::Engine> engine;
 };
 
 /// A staged dataset: simulated FS with the CFF container (always) and the

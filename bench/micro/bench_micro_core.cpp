@@ -128,7 +128,7 @@ void BM_BusyResourceAcquire(benchmark::State& state) {
     benchmark::DoNotOptimize(resource.acquire(0.0, 1e-9));
   }
 }
-BENCHMARK(BM_BusyResourceAcquire)->Threads(1)->Threads(4);
+BENCHMARK(BM_BusyResourceAcquire);
 
 void BM_RngPermutation(benchmark::State& state) {
   Rng rng(8);

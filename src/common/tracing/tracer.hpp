@@ -15,11 +15,9 @@
 //    bound or silently losing the tail being debugged.
 //  * Single-writer.  Each simulated rank owns its tracer (like its
 //    MetricsRegistry and its VirtualClock); no locking on record.  The
-//    stream is keyed by RANK identity, not execution identity: under the
-//    default fiber engine every rank shares one OS thread, and under the
-//    legacy thread engine each rank has its own — either way exactly one
-//    rank body writes a given tracer, and export happens after
-//    Runtime::run returns (fibers joined / threads joined).
+//    stream is keyed by RANK identity, not execution identity: every rank
+//    is a fiber on one OS thread, exactly one rank body writes a given
+//    tracer, and export happens after Runtime::run returns.
 #pragma once
 
 #include <cstddef>

@@ -5,8 +5,8 @@
 // i, which samples does member g hold, in what order); DataRegistry is the
 // materialized index every process consults before issuing an RMA read:
 // sample id -> (owner group-rank, byte offset in owner's chunk, length).
-// The registry is immutable after its collective build, so lookups are
-// lock-free from any rank thread.
+// The registry is immutable after its collective build, so lookups need
+// no locking.
 #pragma once
 
 #include <cstdint>

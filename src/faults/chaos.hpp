@@ -9,8 +9,7 @@
 // schedule into virtual seconds, so "the straggler degrades mid-epoch 2"
 // means the same thing on every machine model and workload size.  All
 // randomness downstream comes from the FaultInjector's deterministically
-// seeded per-rank streams, so a scenario replays bit-identically under
-// DDS_DETERMINISTIC=1.
+// seeded per-rank streams, so a scenario replays bit-identically.
 //
 // The InvariantChecker accumulates violations of the properties every
 // scenario must keep regardless of the chaos injected:

@@ -115,8 +115,7 @@ bool FaultInjector::target_dead(int target, double now) const {
 
 void FaultInjector::revive(int rank) {
   DDS_CHECK_MSG(rank >= 0 && rank < nranks_, "rank out of range");
-  revive_epoch_[static_cast<std::size_t>(rank)].fetch_add(
-      1, std::memory_order_acq_rel);
+  ++revive_epoch_[static_cast<std::size_t>(rank)];
 }
 
 double FaultInjector::slowdown_of(int rank, double now) const {

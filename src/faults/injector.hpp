@@ -29,17 +29,15 @@
 // Determinism: every decision is drawn from per-rank RNG streams derived
 // from a single seed, and each decision consumes a fixed number of draws,
 // so a rank's fault sequence depends only on its own call order — which is
-// deterministic for a fixed seed regardless of how the OS schedules the
-// rank threads.  Time-window membership (slowdowns, partitions, deaths) is
-// a pure function of (ranks, now) and consumes no draws at all.  Two runs
-// with the same seed therefore inject the same faults at the same points,
-// and retry/failover/degraded-read counts are bit-identical (the
-// acceptance criterion for reproducible chaos runs).  Link loss/jitter
-// draw from a *separate* per-rank stream, so arming a link fault never
-// shifts the RMA fail/corrupt sequence.
+// deterministic for a fixed seed.  Time-window membership (slowdowns,
+// partitions, deaths) is a pure function of (ranks, now) and consumes no
+// draws at all.  Two runs with the same seed therefore inject the same
+// faults at the same points, and retry/failover/degraded-read counts are
+// bit-identical (the acceptance criterion for reproducible chaos runs).
+// Link loss/jitter draw from a *separate* per-rank stream, so arming a
+// link fault never shifts the RMA fail/corrupt sequence.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -161,16 +159,14 @@ class FaultInjector {
   /// rest of the run).  Also bumps the rank's revival epoch — the signal
   /// fetch-path breakers watch to forget stale failure history, so a
   /// revived rank is immediately eligible for fetches instead of waiting
-  /// out an open-breaker cooldown.  Atomic because every rank thread reads
-  /// while the recovering collective writes.
+  /// out an open-breaker cooldown.
   void revive(int rank);
 
   /// Monotonic per-rank revival generation (0 = never revived).  A
   /// resilience stage that cached "rank r is broken" compares this against
   /// the generation it last saw and resets its breaker on a change.
   std::uint32_t revive_epoch(int rank) const {
-    return revive_epoch_[static_cast<std::size_t>(rank)].load(
-        std::memory_order_acquire);
+    return revive_epoch_[static_cast<std::size_t>(rank)];
   }
 
   /// Byte position to flip in a corrupted payload of `size` bytes.
@@ -196,8 +192,8 @@ class FaultInjector {
   bool has_dynamic_profiles() const { return !config_.slowdowns.empty(); }
 
  private:
-  /// Independent decision streams per rank; each rank thread touches only
-  /// its own element, so no locking is needed.
+  /// Independent decision streams per rank; each rank touches only its own
+  /// element.
   struct RankStreams {
     Rng rma;
     Rng fs;
@@ -210,9 +206,8 @@ class FaultInjector {
   int nranks_;
   std::vector<RankStreams> streams_;
   /// Per-rank revival generation; >0 means the rank was brought back and
-  /// every death schedule for it is void (sized at construction, never
-  /// resized, so lock-free access from rank threads is safe).
-  std::vector<std::atomic<std::uint32_t>> revive_epoch_;
+  /// every death schedule for it is void.
+  std::vector<std::uint32_t> revive_epoch_;
 };
 
 }  // namespace dds::faults

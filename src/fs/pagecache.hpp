@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -33,7 +32,6 @@ class PageCache {
   bool access(std::uint64_t file_id, std::uint64_t block_index,
               std::uint64_t block_bytes) {
     const Key key{file_id, block_index};
-    const std::scoped_lock lock(m_);
     const auto it = map_.find(key);
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
@@ -59,7 +57,6 @@ class PageCache {
 
   /// Drops every cached block (e.g. between experiments).
   void clear() {
-    const std::scoped_lock lock(m_);
     lru_.clear();
     map_.clear();
     used_ = 0;
@@ -67,19 +64,10 @@ class PageCache {
     misses_ = 0;
   }
 
-  std::uint64_t used_bytes() const {
-    const std::scoped_lock lock(m_);
-    return used_;
-  }
+  std::uint64_t used_bytes() const { return used_; }
   std::uint64_t capacity_bytes() const { return capacity_; }
-  std::uint64_t hits() const {
-    const std::scoped_lock lock(m_);
-    return hits_;
-  }
-  std::uint64_t misses() const {
-    const std::scoped_lock lock(m_);
-    return misses_;
-  }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
 
  private:
   struct Key {
@@ -99,7 +87,6 @@ class PageCache {
   };
 
   const std::uint64_t capacity_;
-  mutable std::mutex m_;
   std::list<Entry> lru_;
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
   std::uint64_t used_ = 0;

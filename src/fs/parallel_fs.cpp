@@ -46,7 +46,6 @@ ParallelFileSystem::ParallelFileSystem(model::FsParams params, int nnodes)
 
 void ParallelFileSystem::write_file(const std::string& path, ByteSpan data,
                                     std::uint64_t nominal_size) {
-  const std::unique_lock lock(m_);
   auto& f = files_[path];
   if (f.id == 0) f.id = next_id_++;
   f.data.assign(data.begin(), data.end());
@@ -56,7 +55,6 @@ void ParallelFileSystem::write_file(const std::string& path, ByteSpan data,
 }
 
 bool ParallelFileSystem::exists(const std::string& path) const {
-  const std::shared_lock lock(m_);
   return files_.contains(path);
 }
 
@@ -70,24 +68,20 @@ const ParallelFileSystem::FileObject& ParallelFileSystem::lookup(
 }
 
 std::uint64_t ParallelFileSystem::file_size(const std::string& path) const {
-  const std::shared_lock lock(m_);
   return lookup(path).data.size();
 }
 
 std::uint64_t ParallelFileSystem::nominal_file_size(
     const std::string& path) const {
-  const std::shared_lock lock(m_);
   return lookup(path).nominal_size;
 }
 
 void ParallelFileSystem::remove(const std::string& path) {
-  const std::unique_lock lock(m_);
   if (files_.erase(path) == 0) throw IoError("no such file: " + path);
 }
 
 std::vector<std::string> ParallelFileSystem::list(
     const std::string& prefix) const {
-  const std::shared_lock lock(m_);
   std::vector<std::string> out;
   for (const auto& [path, _] : files_) {
     if (path.starts_with(prefix)) out.push_back(path);
@@ -97,24 +91,20 @@ std::vector<std::string> ParallelFileSystem::list(
 }
 
 std::size_t ParallelFileSystem::file_count() const {
-  const std::shared_lock lock(m_);
   return files_.size();
 }
 
 std::uint64_t ParallelFileSystem::total_nominal_bytes() const {
-  const std::shared_lock lock(m_);
   std::uint64_t total = 0;
   for (const auto& [_, f] : files_) total += f.nominal_size;
   return total;
 }
 
 ByteBuffer ParallelFileSystem::read_file_raw(const std::string& path) const {
-  const std::shared_lock lock(m_);
   return lookup(path).data;
 }
 
 FileRef ParallelFileSystem::make_ref(const std::string& path) const {
-  const std::shared_lock lock(m_);
   const auto& f = lookup(path);
   FileRef ref;
   ref.id = f.id;
@@ -168,25 +158,12 @@ double FsClient::jitter() {
 }
 
 FileRef FsClient::open(const std::string& path) {
-  FileRef ref;
-  {
-    const std::shared_lock lock(fs_->m_);
-    const auto& f = fs_->lookup(path);
-    ref.id = f.id;
-    ref.actual_size = f.data.size();
-    ref.nominal_size = f.nominal_size;
-    ref.payload = &f.data;
-  }
+  FileRef ref = fs_->make_ref(path);
   const auto& p = fs_->params_;
   // Queue at the MDS, then pay the (jittered) end-to-end latency.
   const double served = fs_->mds_.acquire(clock_->now(), p.mds_occupancy_s);
   clock_->advance_to(served + p.mds_service_s * jitter());
   ++stats_.opens;
-
-  ref.scale = ref.actual_size == 0
-                  ? 1.0
-                  : static_cast<double>(ref.nominal_size) /
-                        static_cast<double>(ref.actual_size);
   return ref;
 }
 

@@ -1,6 +1,6 @@
 // Simulated parallel filesystem (Lustre/GPFS stand-in).
 //
-// Data plane: a thread-safe in-memory object store keyed by path — files
+// Data plane: an in-memory object store keyed by path — files
 // hold real bytes, so formats and DDStore's preloader read genuine data.
 // Time plane: every *timed* read charges the caller's VirtualClock using
 // the FsParams cost model: metadata ops queue at a metadata-server
@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -119,7 +118,6 @@ class ParallelFileSystem {
 
   model::FsParams params_;
   int nnodes_;
-  mutable std::shared_mutex m_;
   std::unordered_map<std::string, FileObject> files_;
   std::uint64_t next_id_ = 1;
 

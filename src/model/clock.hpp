@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/error.hpp"
@@ -49,9 +48,9 @@ class VirtualClock {
 ///
 ///  * An idle resource adds zero delay.
 ///  * Requests that overlap in *virtual* time contend, no matter which
-///    order the rank threads happen to execute in wall-clock time — this
-///    order-insensitivity is essential because the simulation runs rank
-///    threads with arbitrary (often fully serialized) scheduling.
+///    order the ranks happen to execute in host time — this
+///    order-insensitivity is essential because the scheduler runs ranks
+///    one at a time, run-to-next-blocking-op.
 ///  * Under closed-loop saturation, per-op latency degrades toward
 ///    (concurrent clients) x (service time), the M/D/1-ish behaviour that
 ///    makes PFF/CFF flatten at scale in the paper's Fig. 8.
@@ -68,10 +67,7 @@ class BusyResource {
     DDS_CHECK(bucket_seconds > 0.0);
   }
 
-  // Movable so containers can hold it before any concurrent use.
-  BusyResource(BusyResource&& other) noexcept
-      : bucket_(other.bucket_), slots_(std::move(other.slots_)),
-        total_work_(other.total_work_) {}
+  BusyResource(BusyResource&&) noexcept = default;
   BusyResource(const BusyResource&) = delete;
   BusyResource& operator=(const BusyResource&) = delete;
 
@@ -80,7 +76,6 @@ class BusyResource {
   double acquire(double ready, double duration) {
     DDS_CHECK(duration >= 0.0);
     DDS_CHECK(ready >= 0.0);
-    const std::scoped_lock lock(m_);
     total_work_ += duration;
     const std::int64_t b0 = static_cast<std::int64_t>(ready / bucket_);
 
@@ -105,13 +100,9 @@ class BusyResource {
   }
 
   /// Total service time ever deposited (for conservation checks in tests).
-  double total_work() const {
-    const std::scoped_lock lock(m_);
-    return total_work_;
-  }
+  double total_work() const { return total_work_; }
 
   void reset() {
-    const std::scoped_lock lock(m_);
     for (auto& s : slots_) s = Slot{};
     total_work_ = 0.0;
   }
@@ -142,7 +133,6 @@ class BusyResource {
   }
 
   double bucket_;
-  mutable std::mutex m_;
   std::vector<Slot> slots_;
   double total_work_ = 0.0;
 };

@@ -1,19 +1,15 @@
-// Abortable sense-reversing barrier for rank threads.
+// Abortable sense-reversing barrier for ranks.
 //
 // Every collective in simmpi synchronizes through this barrier.  If any rank
-// thread dies with an exception, the runtime flips the shared abort flag and
-// wakes all waiters, which then throw AbortedError instead of deadlocking —
-// so a failure in one rank surfaces as a clean test failure, not a hang.
+// dies with an exception, the runtime flips the shared abort flag; ranks
+// parked here observe it and throw AbortedError instead of deadlocking — so
+// a failure in one rank surfaces as a clean test failure, not a hang.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 
 #include "common/error.hpp"
-#include "simmpi/sched.hpp"
+#include "simmpi/fiber.hpp"
 
 namespace dds::simmpi {
 
@@ -23,22 +19,21 @@ class AbortedError : public Error {
   AbortedError() : Error("simmpi: collective aborted (a rank failed)") {}
 };
 
-/// Shared abort flag owned by the Runtime, observed by every barrier.
+/// Shared abort flag owned by the Runtime, observed by every wait point.
 class AbortFlag {
  public:
-  void raise() { raised_.store(true, std::memory_order_release); }
-  void clear() { raised_.store(false, std::memory_order_release); }
-  bool raised() const { return raised_.load(std::memory_order_acquire); }
+  void raise() { raised_ = true; }
+  void clear() { raised_ = false; }
+  bool raised() const { return raised_; }
 
  private:
-  std::atomic<bool> raised_{false};
+  bool raised_ = false;
 };
 
 class Barrier {
  public:
-  /// `sched` enables the deterministic cooperative wait path (may be null).
-  Barrier(int parties, AbortFlag* abort, TurnScheduler* sched = nullptr)
-      : parties_(parties), abort_(abort), sched_(sched) {
+  Barrier(int parties, AbortFlag& abort, FiberScheduler& sched)
+      : parties_(parties), abort_(&abort), sched_(&sched) {
     DDS_CHECK(parties > 0);
   }
 
@@ -46,62 +41,34 @@ class Barrier {
   Barrier& operator=(const Barrier&) = delete;
 
   /// Blocks until all parties arrive (or throws AbortedError on abort).
-  ///
-  /// Waiters poll the abort flag on a short timeout: the Runtime cannot
-  /// enumerate every barrier (sub-communicators create their own), so a
-  /// notify-based abort could strand parked threads.  Under a TurnScheduler
-  /// the wait is cooperative instead: arrival is registered under the
-  /// barrier lock, the lock is released, and the rank yields its execution
-  /// token until the generation flips (or the abort flag rises).
+  /// The last arrival flips the generation; earlier ones yield to the
+  /// scheduler until it flips or the abort flag rises.
   void arrive_and_wait() {
-    std::unique_lock lock(m_);
-    if (abort_ != nullptr && abort_->raised()) throw AbortedError();
+    if (abort_->raised()) throw AbortedError();
     const std::uint64_t gen = generation_;
     if (++count_ == parties_) {
       count_ = 0;
       ++generation_;
-      cv_.notify_all();
       return;
     }
-    if (sched_ != nullptr) {
-      lock.unlock();
-      sched_->yield_until([&] {
-        if (abort_ != nullptr && abort_->raised()) return true;
-        const std::scoped_lock check(m_);
-        return generation_ != gen;
-      });
-      lock.lock();
-      if (generation_ == gen) {
-        // Woken by abort before the barrier completed: withdraw this
-        // arrival so the barrier stays consistent for the next run().
-        --count_;
-        throw AbortedError();
-      }
-      return;
-    }
-    while (!cv_.wait_for(lock, std::chrono::milliseconds(20), [&] {
-      return generation_ != gen;
-    })) {
-      if (abort_ != nullptr && abort_->raised()) {
-        // Withdraw this arrival so the barrier stays consistent for the
-        // next run() on the same runtime: our generation has not flipped
-        // (checked under the lock), so count_ still holds our increment.
-        --count_;
-        throw AbortedError();
-      }
+    sched_->yield_until(
+        [&] { return abort_->raised() || generation_ != gen; });
+    if (generation_ == gen) {
+      // Woken by abort before the barrier completed: withdraw this arrival
+      // so the barrier stays consistent for the next run().
+      --count_;
+      throw AbortedError();
     }
   }
 
   int parties() const { return parties_; }
 
  private:
-  std::mutex m_;
-  std::condition_variable cv_;
   const int parties_;
   int count_ = 0;
   std::uint64_t generation_ = 0;
   AbortFlag* abort_;
-  TurnScheduler* sched_;
+  FiberScheduler* sched_;
 };
 
 }  // namespace dds::simmpi

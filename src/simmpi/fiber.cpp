@@ -4,17 +4,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "simmpi/barrier.hpp"
+
 // Sanitizer fiber hooks: without them ASan misattributes every fiber frame
-// to the scheduler's stack (false stack-buffer-overflow reports) and TSan
-// misattributes rank state to one OS thread.  Feature-detect both compilers'
-// spellings; the hooks are declared in the sanitizer interface headers that
-// ship with any toolchain able to build with the sanitizer enabled.
+// to the scheduler's stack (false stack-buffer-overflow reports).
+// Feature-detect both compilers' spellings; the hooks are declared in the
+// sanitizer interface header that ships with any toolchain able to build
+// with ASan enabled.
 #if defined(__SANITIZE_ADDRESS__)
 #define DDS_FIBER_ASAN 1
 #elif defined(__has_feature)
@@ -26,22 +29,8 @@
 #define DDS_FIBER_ASAN 0
 #endif
 
-#if defined(__SANITIZE_THREAD__)
-#define DDS_FIBER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DDS_FIBER_TSAN 1
-#endif
-#endif
-#ifndef DDS_FIBER_TSAN
-#define DDS_FIBER_TSAN 0
-#endif
-
 #if DDS_FIBER_ASAN
 #include <sanitizer/common_interface_defs.h>
-#endif
-#if DDS_FIBER_TSAN
-#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace dds::simmpi {
@@ -71,9 +60,9 @@ std::size_t round_up_pages(std::size_t bytes) {
 
 }  // namespace
 
-FiberScheduler::FiberScheduler(int nranks, AbortFlag* abort)
-    : abort_(abort), stack_bytes_(stack_bytes_from_env()) {
-  reset(nranks);
+FiberScheduler::FiberScheduler(int nranks, AbortFlag& abort)
+    : abort_(&abort), stack_bytes_(stack_bytes_from_env()), nranks_(nranks) {
+  DDS_CHECK_MSG(nranks > 0, "simmpi needs at least one rank");
 }
 
 FiberScheduler::~FiberScheduler() {
@@ -83,32 +72,28 @@ FiberScheduler::~FiberScheduler() {
 }
 
 std::size_t FiberScheduler::stack_bytes_from_env() {
-  // Sanitizer builds need headroom: ASan poisons redzones around every
-  // stack object and TSan adds shadow frames, roughly quadrupling depth.
-#if DDS_FIBER_ASAN || DDS_FIBER_TSAN
+  // ASan builds need headroom: redzones around every stack object roughly
+  // quadruple depth.
+#if DDS_FIBER_ASAN
   std::size_t kb = 4096;
 #else
   std::size_t kb = 1024;
 #endif
   if (const char* env = std::getenv("DDS_FIBER_STACK_KB")) {
+    // Digits only: strtoull would accept (and negate) a sign.  The ceiling
+    // keeps kb * 1024 from wrapping to a 0-byte stack.
     char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0) {
-      throw ConfigError("DDS_FIBER_STACK_KB must be a positive integer, got '" +
+    const bool digits = std::isdigit(static_cast<unsigned char>(*env)) != 0;
+    const unsigned long long v = digits ? std::strtoull(env, &end, 10) : 0;
+    if (v == 0 || *end != '\0' || v > kMaxStackKb) {
+      throw ConfigError("DDS_FIBER_STACK_KB must be an integer in [1, " +
+                        std::to_string(kMaxStackKb) + "] (KiB), got '" +
                         std::string(env) + "'");
     }
     kb = static_cast<std::size_t>(v);
   }
   kb = std::max<std::size_t>(kb, 64);
   return round_up_pages(kb * 1024);
-}
-
-void FiberScheduler::reset(int nranks) {
-  DDS_CHECK(nranks > 0);
-  DDS_CHECK_MSG(running_ == -1 && fibers_.empty(),
-                "FiberScheduler::reset while fibers are live");
-  nranks_ = nranks;
-  current_ = 0;
 }
 
 void FiberScheduler::allocate_stack(Fiber& f) {
@@ -186,9 +171,6 @@ void FiberScheduler::fiber_main() {
   __sanitizer_start_switch_fiber(nullptr, main_stack_bottom_,
                                  main_stack_size_);
 #endif
-#if DDS_FIBER_TSAN
-  __tsan_switch_to_fiber(main_tsan_fiber_, 0);
-#endif
   setcontext(&main_ctx_);
   // Unreachable: the scheduler context never switches back into a Done
   // fiber.
@@ -201,9 +183,6 @@ void FiberScheduler::resume(int idx) {
 #if DDS_FIBER_ASAN
   __sanitizer_start_switch_fiber(&main_asan_fake_stack_, f.stack_lo,
                                  f.usable_bytes);
-#endif
-#if DDS_FIBER_TSAN
-  __tsan_switch_to_fiber(f.tsan_fiber, 0);
 #endif
   swapcontext(&main_ctx_, &f.ctx);
 #if DDS_FIBER_ASAN
@@ -218,9 +197,6 @@ void FiberScheduler::suspend_running() {
   __sanitizer_start_switch_fiber(&f.asan_fake_stack, main_stack_bottom_,
                                  main_stack_size_);
 #endif
-#if DDS_FIBER_TSAN
-  __tsan_switch_to_fiber(main_tsan_fiber_, 0);
-#endif
   swapcontext(&f.ctx, &main_ctx_);
 #if DDS_FIBER_ASAN
   __sanitizer_finish_switch_fiber(f.asan_fake_stack, nullptr, nullptr);
@@ -228,8 +204,8 @@ void FiberScheduler::suspend_running() {
 }
 
 void FiberScheduler::yield_until_pred(PredicateRef pred) {
-  // An already-true predicate must not yield: both engines share this rule,
-  // and it is what keeps uncontended waits out of the operation order.
+  // An already-true predicate must not yield: that is what keeps
+  // uncontended waits out of the operation order.
   if (pred()) return;
   DDS_CHECK_MSG(running_ >= 0,
                 "yield_until outside a fiber (no rank is running)");
@@ -260,29 +236,21 @@ void FiberScheduler::run(const std::function<void(int)>& body) {
     f.ctx.uc_stack.ss_size = f.usable_bytes;
     f.ctx.uc_link = nullptr;
     makecontext(&f.ctx, &FiberScheduler::trampoline, 0);
-#if DDS_FIBER_TSAN
-    f.tsan_fiber = __tsan_create_fiber(0);
-#endif
   }
-#if DDS_FIBER_TSAN
-  main_tsan_fiber_ = __tsan_get_current_fiber();
-#endif
   FiberScheduler* const prev_active = g_active_scheduler;
   g_active_scheduler = this;
 
-  // Scheduling loop — the exact fiber analogue of ThreadTurnScheduler's
-  // token rotation: starting at the token holder, scan ranks cyclically
-  // and run the first one that is ready or parked-with-a-true-predicate
-  // (predicate evaluation is side-effect free, so skipping a parked rank
-  // matches the thread engine's token passing *through* it).  After a rank
-  // suspends or finishes, the scan restarts just past it.
-  current_ = 0;
+  // Scheduling loop: scan ranks cyclically, starting just past the rank
+  // that ran last (rank 0 at first), and run the first one that is ready
+  // or parked with a true predicate.  Predicate evaluation is side-effect
+  // free, so a parked rank with a false predicate is simply passed over.
+  int current = 0;
   int live = nranks_;
   bool deadlocked = false;
   while (live > 0) {
     int next = -1;
     for (int step = 0; step < nranks_; ++step) {
-      const int r = (current_ + step) % nranks_;
+      const int r = (current + step) % nranks_;
       Fiber& f = fibers_[static_cast<std::size_t>(r)];
       if (f.state == State::Done) continue;
       if (f.state == State::Parked && !f.pred()) continue;
@@ -298,29 +266,22 @@ void FiberScheduler::run(const std::function<void(int)>& body) {
       // second failed scan gives up and abandons the fibers un-unwound.
       if (deadlocked) break;
       deadlocked = true;
-      if (abort_ != nullptr) abort_->raise();
+      abort_->raise();
       continue;
     }
-    current_ = next;
     resume(next);
     check_canary(fibers_[static_cast<std::size_t>(next)]);
     if (fibers_[static_cast<std::size_t>(next)].state == State::Done) --live;
-    current_ = (next + 1) % nranks_;
+    current = (next + 1) % nranks_;
   }
 
   g_active_scheduler = prev_active;
-  for (auto& f : fibers_) {
-#if DDS_FIBER_TSAN
-    if (f.tsan_fiber != nullptr) __tsan_destroy_fiber(f.tsan_fiber);
-#endif
-    release_stack(f);
-  }
+  for (auto& f : fibers_) release_stack(f);
   fibers_.clear();
   body_ = nullptr;
-  current_ = 0;
   if (deadlocked) {
     throw InternalError(
-        "TurnScheduler: all ranks parked (cooperative deadlock)");
+        "FiberScheduler: all ranks parked (cooperative deadlock)");
   }
 }
 

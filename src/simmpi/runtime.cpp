@@ -1,30 +1,10 @@
 #include "simmpi/runtime.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <exception>
-#include <string>
-#include <thread>
 #include <tuple>
 
-#include "simmpi/fiber.hpp"
-
 namespace dds::simmpi {
-
-const char* engine_name(Engine engine) {
-  return engine == Engine::Fibers ? "fibers" : "threads";
-}
-
-Engine engine_from_env() {
-  const char* env = std::getenv("DDS_ENGINE");
-  if (env == nullptr || *env == '\0') return Engine::Fibers;
-  const std::string v(env);
-  if (v == "fibers") return Engine::Fibers;
-  if (v == "threads") return Engine::Threads;
-  throw ConfigError("DDS_ENGINE must be 'fibers' or 'threads', got '" + v +
-                    "'");
-}
 
 // ---- Comm ----------------------------------------------------------------
 
@@ -94,10 +74,9 @@ Comm Comm::split(int color, int key) {
     world.reserve(members.size());
     for (int r : members) world.push_back(shared_->world_ranks[static_cast<std::size_t>(r)]);
     shared_->publish[static_cast<std::size_t>(rank_)] =
-        std::make_shared<detail::CommShared>(shared_->runtime,
-                                             std::move(world),
-                                             &shared_->runtime->abort_flag(),
-                                             shared_->runtime->scheduler());
+        std::make_shared<detail::CommShared>(
+            shared_->runtime, std::move(world), shared_->runtime->abort_flag(),
+            *shared_->runtime->fiber_scheduler());
   }
   shared_->barrier.arrive_and_wait();
   auto sub = shared_->publish[static_cast<std::size_t>(leader)];
@@ -143,13 +122,7 @@ void Comm::send_bytes(ByteSpan data, int dest, int tag) {
   msg.data.assign(data.begin(), data.end());
   msg.arrival = arrival;
 
-  auto& box = rt.mailbox(dst_world);
-  {
-    const std::scoped_lock lock(box.m);
-    box.q.push_back(std::move(msg));
-    ++box.version;
-  }
-  box.cv.notify_all();
+  rt.mailbox(dst_world).push_back(std::move(msg));
   // Sender returns once the message is injected (eager protocol).
   clock().advance(rt.machine().net.inter_latency_s);
   if (tracing::EventTracer* tr = tracer()) {
@@ -167,88 +140,54 @@ ByteBuffer Comm::recv_bytes(int src, int tag, int* actual_src) {
   const auto match = [&](const detail::Message& m) {
     return (src == kAnySource || m.src == src) && m.tag == tag;
   };
-  std::unique_lock lock(box.m);
-  for (;;) {
-    const auto it = std::find_if(box.q.begin(), box.q.end(), match);
-    if (it != box.q.end()) {
-      detail::Message msg = std::move(*it);
-      box.q.erase(it);
-      lock.unlock();
-      const double trace_t0 = clock().now();
-      clock().advance_to(msg.arrival);
-      if (actual_src != nullptr) *actual_src = msg.src;
-      if (tracing::EventTracer* tr = tracer()) {
-        tracing::EventArgs args;
-        args.target = world_rank_of(msg.src);
-        args.bytes = static_cast<std::int64_t>(msg.data.size());
-        tr->record(tracing::Category::Simmpi, "recv", trace_t0, clock().now(),
-                   args);
-      }
-      return std::move(msg.data);
-    }
-    if (TurnScheduler* sched = rt.scheduler()) {
-      // Cooperative wait: release the mailbox, hand the execution token
-      // around until a matching message lands (or the job aborts).
-      lock.unlock();
-      sched->yield_until([&] {
-        if (rt.abort_flag().raised()) return true;
-        const std::scoped_lock check(box.m);
-        return std::find_if(box.q.begin(), box.q.end(), match) != box.q.end();
-      });
-      lock.lock();
-      if (std::find_if(box.q.begin(), box.q.end(), match) == box.q.end()) {
-        throw AbortedError();
-      }
-      continue;
-    }
-    const std::uint64_t seen = box.version;
-    if (!box.cv.wait_for(lock, std::chrono::milliseconds(20),
-                         [&] { return box.version != seen; })) {
-      if (rt.abort_flag().raised()) throw AbortedError();
-    }
+  const auto find = [&] { return std::find_if(box.begin(), box.end(), match); };
+  // Hand the execution token around until a matching message lands (or
+  // the job aborts).
+  rt.fiber_scheduler()->yield_until(
+      [&] { return rt.abort_flag().raised() || find() != box.end(); });
+  const auto it = find();
+  if (it == box.end()) throw AbortedError();
+  detail::Message msg = std::move(*it);
+  box.erase(it);
+  const double trace_t0 = clock().now();
+  clock().advance_to(msg.arrival);
+  if (actual_src != nullptr) *actual_src = msg.src;
+  if (tracing::EventTracer* tr = tracer()) {
+    tracing::EventArgs args;
+    args.target = world_rank_of(msg.src);
+    args.bytes = static_cast<std::int64_t>(msg.data.size());
+    tr->record(tracing::Category::Simmpi, "recv", trace_t0, clock().now(),
+               args);
   }
+  return std::move(msg.data);
 }
 
 // ---- Runtime ---------------------------------------------------------------
 
 Runtime::Runtime(int nranks, model::MachineConfig machine, std::uint64_t seed,
-                 bool deterministic, std::optional<Engine> engine)
+                 bool /*unused*/, Engine /*unused*/)
     : nranks_(nranks),
       machine_(std::move(machine)),
       net_(machine_, nranks),
-      engine_(engine.has_value() ? *engine : engine_from_env()),
+      sched_(nranks, abort_),
       clocks_(static_cast<std::size_t>(nranks)),
-      rngs_() {
-  DDS_CHECK_MSG(nranks > 0, "Runtime needs at least one rank");
-  if (engine_ == Engine::Fibers) {
-    // Fibers are inherently cooperative: the scheduler exists whether or
-    // not `deterministic` was requested (determinism comes for free).
-    auto fibers = std::make_unique<FiberScheduler>(nranks, &abort_);
-    fiber_ = fibers.get();
-    sched_ = std::move(fibers);
-  } else if (deterministic) {
-    sched_ = std::make_unique<ThreadTurnScheduler>(nranks);
-  }
+      mailboxes_(static_cast<std::size_t>(nranks)) {
   const Rng root(seed);
   rngs_.reserve(static_cast<std::size_t>(nranks));
-  mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     rngs_.push_back(root.stream(static_cast<std::uint64_t>(r)));
-    mailboxes_.push_back(std::make_unique<detail::Mailbox>());
   }
   std::vector<int> world(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) world[static_cast<std::size_t>(r)] = r;
   world_ = std::make_shared<detail::CommShared>(this, std::move(world),
-                                                &abort_, sched_.get());
+                                                abort_, sched_);
 }
 
 void Runtime::run(const std::function<void(Comm&)>& fn) {
   std::exception_ptr first_error;
-  std::mutex error_mutex;
 
-  // Shared rank body for both engines: absorbs every exception (nothing
-  // may unwind across a fiber switch or out of a detached rank thread),
-  // keeps the first real error, and aborts the peers.
+  // Rank body: absorbs every exception (nothing may unwind across a fiber
+  // switch), keeps the first real error, and aborts the peers.
   const auto rank_body = [&](int r) {
     try {
       Comm comm(world_, r);
@@ -256,51 +195,17 @@ void Runtime::run(const std::function<void(Comm&)>& fn) {
     } catch (const AbortedError&) {
       // Another rank failed first; nothing to report from this one.
     } catch (...) {
-      {
-        const std::scoped_lock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
+      if (!first_error) first_error = std::current_exception();
       abort_.raise();
     }
   };
 
-  if (fiber_ != nullptr) {
-    // Fiber engine: every rank runs as a fiber on THIS thread.
-    fiber_->reset(nranks_);
-    try {
-      fiber_->run(rank_body);
-    } catch (...) {
-      // Scheduler-level failure (cooperative deadlock).  Rank errors were
-      // already captured by rank_body; keep whichever came first.
-      const std::scoped_lock lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  } else {
-    // Thread engine: one OS thread per rank, joined before returning.
-    //
-    // Exception-safe turn bracket: a rank that unwinds (error or abort)
-    // must still leave the rotation, or the remaining ranks would wait
-    // forever for a token the dead thread holds.
-    struct TurnGuard {
-      TurnScheduler* sched;
-      TurnGuard(TurnScheduler* s, int rank) : sched(s) {
-        if (sched != nullptr) sched->begin_turn(rank);
-      }
-      ~TurnGuard() {
-        if (sched != nullptr) sched->end_turn();
-      }
-    };
-
-    if (sched_ != nullptr) sched_->reset(nranks_);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(nranks_));
-    for (int r = 0; r < nranks_; ++r) {
-      threads.emplace_back([&, r] {
-        const TurnGuard turn(sched_.get(), r);
-        rank_body(r);
-      });
-    }
-    for (auto& t : threads) t.join();
+  try {
+    sched_.run(rank_body);
+  } catch (...) {
+    // Scheduler-level failure (cooperative deadlock).  Rank errors were
+    // already captured by rank_body; keep whichever came first.
+    if (!first_error) first_error = std::current_exception();
   }
   if (first_error) {
     // Leave the runtime reusable: future runs start from a clean flag.

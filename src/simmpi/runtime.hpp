@@ -8,14 +8,9 @@
 // the paper ran on (DESIGN.md): control flow and data movement are real,
 // elapsed time is modelled.
 //
-// Two execution engines back the ranks (selectable via DDS_ENGINE or the
-// Runtime constructor; see Engine below):
-//   fibers  — one stackful fiber per rank on a single OS thread, scheduled
-//             run-to-next-blocking-op (default: fast, deterministic, and
-//             scales to thousands of simulated ranks);
-//   threads — one OS thread per rank (legacy: free-running by default,
-//             token-serialized when `deterministic` is set; keeps real
-//             concurrency for TSan coverage).
+// Every rank is a stackful fiber on the thread that calls Runtime::run,
+// scheduled run-to-next-blocking-op in cyclic rank order (simmpi/fiber.hpp):
+// runs are deterministic and scale to thousands of simulated ranks.
 //
 // Usage:
 //   Runtime rt(8, model::perlmutter());
@@ -25,14 +20,10 @@
 //   });
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,28 +41,10 @@ namespace dds::simmpi {
 
 class Runtime;
 class Comm;
-class FiberScheduler;
 
-/// How simulated ranks are executed (see the header comment).
-enum class Engine {
-  /// One stackful fiber per rank inside a single OS thread, scheduled
-  /// run-to-next-blocking-op in cyclic rank order.  Always deterministic;
-  /// a context switch is a userspace register swap, so thousand-rank
-  /// simulations are practical.  The default.
-  Fibers,
-  /// One OS thread per rank (the legacy engine).  Free-running unless the
-  /// Runtime's `deterministic` flag serializes the threads through a
-  /// ThreadTurnScheduler.  Slower at scale, but the only engine with real
-  /// concurrency — CI's TSan job forces it to keep race coverage.
-  Threads,
-};
-
-/// "fibers" or "threads" (stable strings; used in bench JSON and traces).
-const char* engine_name(Engine engine);
-
-/// Engine selected by DDS_ENGINE ("fibers" | "threads"); Fibers when the
-/// variable is unset or empty.  Throws ConfigError on anything else.
-Engine engine_from_env();
+/// The execution engine.  Fibers are the only one; the enum survives only
+/// so the benchmark harness, which names it, compiles.
+enum class Engine { Fibers };
 
 /// Reduction operators for allreduce/reduce.
 enum class Op { Sum, Min, Max, Prod };
@@ -102,17 +75,12 @@ struct Message {
 };
 
 /// Per-rank incoming message queue (two-sided communication).
-struct Mailbox {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<Message> q;
-  std::uint64_t version = 0;  ///< bumped on every enqueue (wakeup token)
-};
+using Mailbox = std::deque<Message>;
 
 /// State shared by all member ranks of one communicator.
 struct CommShared {
-  CommShared(Runtime* rt, std::vector<int> world, AbortFlag* abort,
-             TurnScheduler* sched)
+  CommShared(Runtime* rt, std::vector<int> world, AbortFlag& abort,
+             FiberScheduler& sched)
       : runtime(rt),
         world_ranks(std::move(world)),
         barrier(static_cast<int>(world_ranks.size()), abort, sched),
@@ -382,7 +350,7 @@ class Comm {
 
   /// Collective object sharing: `root` runs `make()` once; every rank
   /// returns the same shared_ptr.  Used to share large immutable state
-  /// (chunk registries, epoch permutations) across rank threads — in a real
+  /// (chunk registries, epoch permutations) across ranks — in a real
   /// MPI job each rank would hold its own copy; sharing one in-process copy
   /// is a memory optimization that does not change behaviour because the
   /// shared objects are immutable.
@@ -483,24 +451,16 @@ class Comm {
 /// model.
 class Runtime {
  public:
-  /// `engine` picks the execution backend; when not given, DDS_ENGINE
-  /// decides (default: Engine::Fibers).  Under the fiber engine every run
-  /// is cooperative and deterministic, so `deterministic` is implied.
-  /// Under the thread engine, `deterministic` serializes rank threads
-  /// through a ThreadTurnScheduler so every shared virtual resource
-  /// observes operations in a reproducible order — modeled times become
-  /// bit-identical across runs (and identical to the fiber engine's, which
-  /// executes the same cyclic rank rotation; the CI perf gate pins this).
+  /// The two trailing parameters are unused; they exist only so the
+  /// benchmark harness, which still passes them, compiles.
   Runtime(int nranks, model::MachineConfig machine, std::uint64_t seed = 42,
-          bool deterministic = false,
-          std::optional<Engine> engine = std::nullopt);
+          bool /*unused*/ = true, Engine /*unused*/ = Engine::Fibers);
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Runs `fn(world_comm)` on every rank — as fibers driven by the calling
-  /// thread, or as one spawned-and-joined OS thread per rank, depending on
-  /// the engine.  The first exception thrown by any rank is rethrown here;
+  /// Runs `fn(world_comm)` on every rank, as fibers driven by the calling
+  /// thread.  The first exception thrown by any rank is rethrown here;
   /// other ranks are released from collectives via the abort flag.
   void run(const std::function<void(Comm&)>& fn);
 
@@ -515,25 +475,20 @@ class Runtime {
     return rngs_[static_cast<std::size_t>(world_rank)];
   }
   detail::Mailbox& mailbox(int world_rank) {
-    return *mailboxes_[static_cast<std::size_t>(world_rank)];
+    return mailboxes_[static_cast<std::size_t>(world_rank)];
   }
   AbortFlag& abort_flag() { return abort_; }
 
-  /// The cooperative scheduler, or nullptr only under free-running threads
-  /// (Engine::Threads without the deterministic flag).
-  TurnScheduler* scheduler() { return sched_.get(); }
-  bool deterministic() const { return sched_ != nullptr; }
-  Engine engine() const { return engine_; }
-  /// The fiber engine behind scheduler(), or nullptr under thread engines
-  /// (diagnostics: switch counts, stack geometry).
-  FiberScheduler* fiber_scheduler() { return fiber_; }
+  /// The rank scheduler (never null; a pointer so the benchmark harness
+  /// compiles unchanged).
+  FiberScheduler* fiber_scheduler() { return &sched_; }
 
   // ---- event tracing ----------------------------------------------------
 
   /// Arms one bounded EventTracer per rank for subsequent run() calls.
-  /// Call before run(); each rank — fiber or thread — writes only its own
-  /// stream (identity is the owning Comm's rank, never thread_local state,
-  /// so the streams stay correct when every fiber shares one OS thread).
+  /// Call before run(); each rank writes only its own stream (identity is
+  /// the owning Comm's rank, never thread_local state, since every fiber
+  /// shares one OS thread).
   void enable_tracing(std::size_t capacity_per_rank = 1u << 20) {
     tracers_.clear();
     tracers_.reserve(static_cast<std::size_t>(nranks_));
@@ -552,7 +507,7 @@ class Runtime {
   bool tracing_enabled() const { return !tracers_.empty(); }
 
   /// Per-rank streams for the exporter (empty when tracing is disabled).
-  /// Only valid between run() calls — rank threads own their streams while
+  /// Only valid between run() calls — ranks own their streams while
   /// running.
   std::vector<const tracing::EventTracer*> traces() const {
     std::vector<const tracing::EventTracer*> out;
@@ -604,13 +559,11 @@ class Runtime {
   int nranks_;
   model::MachineConfig machine_;
   model::NetworkModel net_;
-  Engine engine_;
   AbortFlag abort_;
-  std::unique_ptr<TurnScheduler> sched_;
-  FiberScheduler* fiber_ = nullptr;  ///< sched_ downcast when engine_ == Fibers
+  FiberScheduler sched_;
   std::vector<model::VirtualClock> clocks_;
   std::vector<Rng> rngs_;
-  std::vector<std::unique_ptr<detail::Mailbox>> mailboxes_;
+  std::vector<detail::Mailbox> mailboxes_;
   std::vector<std::unique_ptr<tracing::EventTracer>> tracers_;
   std::shared_ptr<faults::FaultInjector> injector_;
   std::shared_ptr<detail::CommShared> world_;

@@ -43,30 +43,20 @@ void Window::lock(int target, LockType type) {
   DDS_CHECK_MSG(held_.at(t) == HeldLock::None,
                 "lock epoch already active on this target");
   detail::RegionLock& rl = shared_->locks[t];
-  TurnScheduler* sched = comm_.runtime().scheduler();
-  if (sched != nullptr) {
-    // Cooperative engines: park the rank until the region is available.
-    // The counters are mutated only while holding the execution token, and
-    // the abort clause keeps a rank from being parked forever behind a
-    // holder that unwound.
-    AbortFlag& abort = comm_.runtime().abort_flag();
-    if (type == LockType::Shared) {
-      sched->yield_until([&] { return abort.raised() || !rl.writer; });
-      if (rl.writer) throw AbortedError();  // woken by abort, still held
-      ++rl.readers;
-      held_[t] = HeldLock::Shared;
-    } else {
-      sched->yield_until(
-          [&] { return abort.raised() || (!rl.writer && rl.readers == 0); });
-      if (rl.writer || rl.readers != 0) throw AbortedError();
-      rl.writer = true;
-      held_[t] = HeldLock::Exclusive;
-    }
-  } else if (type == LockType::Shared) {
-    rl.m.lock_shared();
+  // Park the rank until the region is available; the abort clause keeps a
+  // rank from being parked forever behind a holder that unwound.
+  FiberScheduler& sched = *comm_.runtime().fiber_scheduler();
+  const AbortFlag& abort = comm_.runtime().abort_flag();
+  if (type == LockType::Shared) {
+    sched.yield_until([&] { return abort.raised() || !rl.writer; });
+    if (rl.writer) throw AbortedError();  // woken by abort, still held
+    ++rl.readers;
     held_[t] = HeldLock::Shared;
   } else {
-    rl.m.lock();
+    sched.yield_until(
+        [&] { return abort.raised() || (!rl.writer && rl.readers == 0); });
+    if (rl.writer || rl.readers != 0) throw AbortedError();
+    rl.writer = true;
     held_[t] = HeldLock::Exclusive;
   }
   // Timing of lock/unlock is folded into the per-access RMA overhead in
@@ -84,21 +74,12 @@ void Window::lock(int target, LockType type) {
 void Window::unlock(int target) {
   const auto t = static_cast<std::size_t>(target);
   detail::RegionLock& rl = shared_->locks[t];
-  const bool cooperative = comm_.runtime().scheduler() != nullptr;
   switch (held_.at(t)) {
     case HeldLock::Shared:
-      if (cooperative) {
-        --rl.readers;  // a parked writer's predicate turns true
-      } else {
-        rl.m.unlock_shared();
-      }
+      --rl.readers;  // a parked writer's predicate turns true
       break;
     case HeldLock::Exclusive:
-      if (cooperative) {
-        rl.writer = false;
-      } else {
-        rl.m.unlock();
-      }
+      rl.writer = false;
       break;
     case HeldLock::None:
       throw InternalError("unlock without a matching lock");

@@ -16,16 +16,14 @@
 // Deviations from MPI semantics, by design:
 //  * lock() blocks immediately instead of deferring to the first access;
 //    cross-rank exclusive lock cycles can therefore deadlock (as can
-//    misordered MPI passive-target code).  Under a cooperative engine the
-//    wait is a scheduler yield, so such a cycle trips the loud
-//    cooperative-deadlock invariant instead of hanging.
+//    misordered MPI passive-target code).  The wait is a scheduler yield,
+//    so such a cycle trips the loud cooperative-deadlock invariant instead
+//    of hanging.
 //  * Window lifetime is reference counted; free() is a collective no-op
 //    provided for symmetry with MPI_Win_free.
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <shared_mutex>
 
 #include "common/bytes.hpp"
 #include "simmpi/runtime.hpp"
@@ -36,19 +34,13 @@ enum class LockType { Shared, Exclusive };
 
 namespace detail {
 
-/// Reader/writer lock on one exposed region, usable from both execution
-/// engines.  Free-running threads block on the shared_mutex; cooperative
-/// engines (fibers, or token-serialized threads) instead park the rank on
-/// the counters via TurnScheduler::yield_until — blocking the OS thread
-/// would wedge every fiber sharing it.  The counters are only touched by
-/// the rank holding the execution token, so they need no atomics; an
-/// uncontended acquisition sees its predicate true immediately and never
-/// yields (keeping the deterministic operation order identical to the old
-/// always-uncontended mutex path).
+/// Reader/writer lock on one exposed region.  A blocked rank parks on the
+/// counters via FiberScheduler::yield_until; the counters are only touched
+/// by the running fiber, so they need no atomics.  An uncontended
+/// acquisition sees its predicate true immediately and never yields.
 struct RegionLock {
-  std::shared_mutex m;  ///< free-running engine only
-  int readers = 0;      ///< cooperative engines only
-  bool writer = false;  ///< cooperative engines only
+  int readers = 0;
+  bool writer = false;
 };
 
 struct WindowShared {
@@ -59,7 +51,7 @@ struct WindowShared {
   /// rank finishing early cannot free memory peers still read (the
   /// in-process analogue of MPI_Win_free being collective).
   std::vector<std::shared_ptr<const void>> keepalives;
-  std::deque<RegionLock> locks;            ///< per exposed region
+  std::vector<RegionLock> locks;           ///< per exposed region
 };
 
 }  // namespace detail

@@ -5,8 +5,6 @@
 // fetches that deliver byte-identical samples.
 #include <gtest/gtest.h>
 
-#include <mutex>
-
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
 #include "faults/injector.hpp"
@@ -170,7 +168,6 @@ TEST_F(DDStoreBatchTest, CoalescedDegradesToResilientFetchesUnderFaults) {
   std::vector<std::vector<graph::GraphSample>> runs;
   std::uint64_t fallbacks = 0;
   std::uint64_t checksum_failures = 0;
-  std::mutex m;
   for (const auto mode :
        {BatchFetchMode::PerSample, BatchFetchMode::Coalesced}) {
     simmpi::Runtime rt(4, machine_);
@@ -191,7 +188,6 @@ TEST_F(DDStoreBatchTest, CoalescedDegradesToResilientFetchesUnderFaults) {
         expect_request_order(batch, ids);
       }
       store.fence();
-      const std::scoped_lock lock(m);
       if (c.rank() == 0) mine = batch;
       if (mode == BatchFetchMode::Coalesced) {
         fallbacks += store.stats().coalesced_fallbacks;

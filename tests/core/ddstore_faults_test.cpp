@@ -3,8 +3,6 @@
 // all of it (same seed => same fault counts, any seed => correct bytes).
 #include <gtest/gtest.h>
 
-#include <mutex>
-
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
@@ -61,7 +59,6 @@ class DDStoreFaultsTest : public ::testing::Test {
   std::vector<RankCounts> run_and_count(int nranks, int width,
                                         const faults::FaultConfig& fc) {
     std::vector<RankCounts> counts(static_cast<std::size_t>(nranks));
-    std::mutex m;
     simmpi::Runtime rt(nranks, machine_);
     rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, nranks));
     const auto reader = cff_reader();
@@ -72,7 +69,6 @@ class DDStoreFaultsTest : public ::testing::Test {
       DDStore store(c, reader, client, cfg);
       expect_all_samples_intact(store);
       const auto& st = store.stats();
-      const std::scoped_lock lock(m);
       counts[static_cast<std::size_t>(c.rank())] =
           RankCounts{st.retries,         st.failovers,
                      st.checksum_failures, st.degraded_reads,

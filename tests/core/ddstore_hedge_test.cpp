@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
@@ -68,8 +67,7 @@ class DDStoreHedgeTest : public ::testing::Test {
                        int passes) {
     fs_.reset_time_state();
     Totals totals;
-    std::mutex m;
-    simmpi::Runtime rt(kRanks, machine_, /*seed=*/42, /*deterministic=*/true);
+    simmpi::Runtime rt(kRanks, machine_, /*seed=*/42);
     if (fc.any()) {
       rt.set_fault_injector(
           std::make_shared<faults::FaultInjector>(fc, kRanks));
@@ -97,7 +95,6 @@ class DDStoreHedgeTest : public ::testing::Test {
                      sum(st.retries),
                      sum(st.degraded_reads)};
       if (c.rank() == 0) {
-        const std::scoped_lock lock(m);
         totals = t;
       }
       store.fence();
@@ -112,8 +109,7 @@ class DDStoreHedgeTest : public ::testing::Test {
   double measure_calibration_horizon() {
     fs_.reset_time_state();
     double horizon = 0.0;
-    std::mutex m;
-    simmpi::Runtime rt(kRanks, machine_, 42, /*deterministic=*/true);
+    simmpi::Runtime rt(kRanks, machine_, 42);
     const auto reader = cff_reader();
     rt.run([&](simmpi::Comm& c) {
       auto client = client_for(c);
@@ -125,7 +121,6 @@ class DDStoreHedgeTest : public ::testing::Test {
       const auto ends = c.allgather_untimed(c.clock().now());
       const double t = *std::max_element(ends.begin(), ends.end());
       if (c.rank() == 0) {
-        const std::scoped_lock lock(m);
         horizon = t;
       }
       store.fence();
@@ -199,7 +194,7 @@ TEST_F(DDStoreHedgeTest, ReviveRestoresBreakerAndHealthEligibility) {
   faults::FaultConfig fc;
   fc.dead_rank = kStraggler;  // dead from t=0; twins carry its chunk
   auto injector = std::make_shared<faults::FaultInjector>(fc, kRanks);
-  simmpi::Runtime rt(kRanks, machine_, 42, /*deterministic=*/true);
+  simmpi::Runtime rt(kRanks, machine_, 42);
   rt.set_fault_injector(injector);
   const auto reader = cff_reader();
   rt.run([&](simmpi::Comm& c) {

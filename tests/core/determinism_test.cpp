@@ -1,12 +1,11 @@
-// Determinism tests for the traced training pipeline: under the
-// deterministic TurnScheduler, modeled epoch times and the exported
-// Chrome trace must be BYTE-identical across repeated runs (the contract
-// the CI perf gate builds on), and the trainer's Train-category event
-// stream must be invariant to the replication width (width changes the
-// data placement, never the training schedule).
+// Determinism tests for the traced training pipeline: the EpochReport
+// (modeled times and every counter) and the exported Chrome trace must be
+// BYTE-identical across repeated runs (the contract the CI perf gate
+// builds on), and the trainer's Train-category event stream must be
+// invariant to the replication width (width changes the data placement,
+// never the training schedule).
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,7 @@ using datagen::DatasetKind;
 using model::test_machine;
 
 struct TracedRun {
-  double epoch_seconds = 0;
+  train::EpochReport report;
   std::string trace_json;
   /// Rank 0's Train-category event names, in record order.
   std::vector<std::string> train_stream;
@@ -41,8 +40,7 @@ TracedRun run_traced(int width) {
                                   ds->spec().nominal_cff_sample_bytes());
 
   TracedRun result;
-  std::mutex m;
-  simmpi::Runtime rt(kRanks, machine, /*seed=*/42, /*deterministic=*/true);
+  simmpi::Runtime rt(kRanks, machine, /*seed=*/42);
   rt.enable_tracing(/*capacity_per_rank=*/1u << 16);
   rt.run([&](simmpi::Comm& c) {
     fs::FsClient client(pfs, machine.node_of_rank(c.world_rank()), c.clock(),
@@ -60,10 +58,7 @@ TracedRun run_traced(int width) {
     tcfg.output_dim = 100;
     train::SimulatedTrainer trainer(c, backend, sampler, machine, tcfg);
     const auto report = trainer.run_epoch(0);
-    if (c.rank() == 0) {
-      const std::scoped_lock lock(m);
-      result.epoch_seconds = report.epoch_seconds;
-    }
+    if (c.rank() == 0) result.report = report;
     c.barrier();
   });
 
@@ -79,8 +74,21 @@ TracedRun run_traced(int width) {
 TEST(Determinism, RepeatedRunsProduceIdenticalTraces) {
   const auto a = run_traced(/*width=*/2);
   const auto b = run_traced(/*width=*/2);
-  // Exact double equality — the whole point of deterministic mode.
-  EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
+  // Exact double equality everywhere — determinism means bit-identical
+  // modeled time, not "close".
+  EXPECT_EQ(a.report.epoch_seconds, b.report.epoch_seconds);
+  EXPECT_EQ(a.report.throughput, b.report.throughput);
+  EXPECT_EQ(a.report.global_samples, b.report.global_samples);
+  EXPECT_EQ(a.report.overlap_hidden_s, b.report.overlap_hidden_s);
+  EXPECT_GT(a.report.epoch_seconds, 0.0);
+  // Every backend counter, by name and value, in registration order.
+  ASSERT_EQ(a.report.metrics.size(), b.report.metrics.size());
+  ASSERT_FALSE(a.report.metrics.empty());
+  for (std::size_t i = 0; i < a.report.metrics.size(); ++i) {
+    EXPECT_EQ(a.report.metrics[i].name, b.report.metrics[i].name);
+    EXPECT_EQ(a.report.metrics[i].value, b.report.metrics[i].value)
+        << a.report.metrics[i].name;
+  }
   // The exported Chrome JSON is a pure function of the event streams, so
   // the two documents must match byte for byte.
   EXPECT_EQ(a.trace_json, b.trace_json);
@@ -116,8 +124,7 @@ TEST(Determinism, TracedRunMatchesUntracedTimes) {
   const formats::CffReader reader(pfs, "cff",
                                   ds->spec().nominal_cff_sample_bytes());
   double untraced_epoch = 0;
-  std::mutex m;
-  simmpi::Runtime rt(kRanks, machine, 42, /*deterministic=*/true);
+  simmpi::Runtime rt(kRanks, machine, 42);
   rt.run([&](simmpi::Comm& c) {
     fs::FsClient client(pfs, machine.node_of_rank(c.world_rank()), c.clock(),
                         c.rng());
@@ -134,13 +141,10 @@ TEST(Determinism, TracedRunMatchesUntracedTimes) {
     tcfg.output_dim = 100;
     train::SimulatedTrainer trainer(c, backend, sampler, machine, tcfg);
     const auto report = trainer.run_epoch(0);
-    if (c.rank() == 0) {
-      const std::scoped_lock lock(m);
-      untraced_epoch = report.epoch_seconds;
-    }
+    if (c.rank() == 0) untraced_epoch = report.epoch_seconds;
     c.barrier();
   });
-  EXPECT_EQ(traced.epoch_seconds, untraced_epoch);
+  EXPECT_EQ(traced.report.epoch_seconds, untraced_epoch);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <mutex>
 
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
@@ -191,7 +190,6 @@ TEST_F(FetchCacheTest, HitMissSequenceIsIdenticalAcrossWidths) {
   };
   const auto run_width = [&](int width) {
     std::vector<Trace> traces(8);
-    std::mutex m;
     simmpi::Runtime rt(8, machine_);
     rt.run([&](simmpi::Comm& c) {
       auto client = client_for(c);
@@ -209,7 +207,6 @@ TEST_F(FetchCacheTest, HitMissSequenceIsIdenticalAcrossWidths) {
         (void)store.get_bytes(id);
       }
       const auto& st = store.stats();
-      const std::scoped_lock lock(m);
       traces[static_cast<std::size_t>(c.rank())] =
           Trace{st.cache_hits, st.cache_misses, st.cache_evictions};
     });

@@ -1,9 +1,8 @@
-// FetchEngine stress: many rank-threads hammering the full staged read
-// path concurrently — planning, cache churn, coalesced RMA, injected
-// faults, and twin-aliased chunk buffers — so a thread sanitizer can see
-// every cross-rank interleaving the engine's stages produce.  Validation
-// is byte-level: whatever the interleaving, every rank decodes ground
-// truth.
+// FetchEngine stress: eight ranks with overlapping hot ids drive the full
+// staged read path through every batch mode — planning, cache churn,
+// coalesced RMA, injected faults, and twin-aliased chunk buffers — with
+// their fibers interleaving at every lock epoch and collective.
+// Validation is byte-level: every rank decodes ground truth.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -108,8 +107,8 @@ TEST_F(FetchStressTest, AllBatchModesConcurrentlyWithCacheAndFaults) {
 
 TEST_F(FetchStressTest, TwinAliasedChunksUnderConcurrentCachedReads) {
   // width 4 over 8 ranks: two replica groups whose members alias the same
-  // physical chunk buffers.  Both groups read everything concurrently
-  // while their private caches churn.
+  // physical chunk buffers.  Both groups read everything in interleaved
+  // steps while their private caches churn.
   simmpi::Runtime rt(kRanks, machine_);
   const auto reader = cff_reader();
   rt.run([&](simmpi::Comm& c) {

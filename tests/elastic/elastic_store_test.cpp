@@ -130,7 +130,7 @@ TEST_F(ElasticStoreTest, CacheStaysValidAcrossReshard) {
 }
 
 TEST_F(ElasticStoreTest, DeadRankIsRebuiltFromItsTwinAndRevived) {
-  simmpi::Runtime rt(8, machine_, /*seed=*/42, /*deterministic=*/false);
+  simmpi::Runtime rt(8, machine_, /*seed=*/42);
   faults::FaultConfig fc;
   fc.dead_rank = 2;  // group 0 member; its twin (rank 6) lives in group 1
   fc.death_time_s = 0.0;
@@ -172,7 +172,7 @@ TEST_F(ElasticStoreTest, DeadRankIsRebuiltFromItsTwinAndRevived) {
 }
 
 TEST_F(ElasticStoreTest, SingleReplicaGroupStaysDegradedInsteadOfRebuilding) {
-  simmpi::Runtime rt(8, machine_, /*seed=*/42, /*deterministic=*/false);
+  simmpi::Runtime rt(8, machine_, /*seed=*/42);
   faults::FaultConfig fc;
   fc.dead_rank = 2;  // width 8 = one group: no twin exists
   rt.set_fault_injector(std::make_shared<faults::FaultInjector>(fc, 8));

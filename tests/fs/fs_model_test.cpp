@@ -24,7 +24,6 @@ double closed_loop_pff_latency(int nranks, int ops) {
     pfs.write_file("f" + std::to_string(i), ByteSpan(blob(100)));
   }
   RunningStats lat;
-  std::mutex m;
   simmpi::Runtime rt(nranks, machine);
   rt.run([&](simmpi::Comm& c) {
     FsClient client(pfs, machine.node_of_rank(c.world_rank()), c.clock(),
@@ -37,7 +36,6 @@ double closed_loop_pff_latency(int nranks, int ops) {
       (void)client.read_file("f" + std::to_string((i * 7 + c.rank()) % 64));
       mine.add(c.clock().now() - t0);
     }
-    const std::scoped_lock lock(m);
     lat.merge(mine);
   });
   return lat.mean();

@@ -184,7 +184,7 @@ TEST_F(FsTest, ResetTimeStateClearsCaches) {
 }
 
 TEST_F(FsTest, UsableFromRankThreads) {
-  // The FS is shared state accessed from simmpi rank threads.
+  // The FS is shared state accessed from every simmpi rank.
   fs_.write_file("shared", ByteSpan(make_bytes(4096, 5)));
   simmpi::Runtime rt(8, test_machine());
   rt.run([&](simmpi::Comm& c) {

@@ -2,8 +2,6 @@
 // through staging, DDStore, sampling, and training.
 #include <gtest/gtest.h>
 
-#include <mutex>
-
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "formats/pff.hpp"
@@ -35,7 +33,6 @@ PipelineResult run_pipeline(std::uint64_t seed) {
                                   ds->spec().nominal_cff_sample_bytes());
 
   PipelineResult result;
-  std::mutex m;
   simmpi::Runtime rt(kRanks, machine, seed);
   rt.run([&](simmpi::Comm& c) {
     fs::FsClient client(pfs, machine.node_of_rank(c.world_rank()), c.clock(),
@@ -53,7 +50,6 @@ PipelineResult run_pipeline(std::uint64_t seed) {
     const auto report = trainer.run_epoch(0);
     auto lat = trainer.gather_latencies();
     if (c.rank() == 0) {
-      const std::scoped_lock lock(m);
       result.epoch_seconds = report.epoch_seconds;
       result.latency_p50 = lat.percentile(50);
       result.latencies = lat.raw();
@@ -64,20 +60,14 @@ PipelineResult run_pipeline(std::uint64_t seed) {
 }
 
 TEST(Pipeline, ReproducibleAcrossRuns) {
-  // Data, sampling, and costs are seeded, but within-bucket queueing order
-  // in BusyResource follows thread scheduling (a documented bucket-level
-  // approximation), so timings reproduce to ~1e-3 relative, not bitwise.
+  // Data, sampling, costs and the fiber schedule are all fixed by the
+  // seed, so the whole timeline reproduces bit for bit.
   const auto a = run_pipeline(77);
   const auto b = run_pipeline(77);
-  EXPECT_NEAR(a.epoch_seconds, b.epoch_seconds, 1e-3 * a.epoch_seconds);
-  EXPECT_NEAR(a.latency_p50, b.latency_p50, 1e-3 * a.latency_p50 + 1e-9);
-  ASSERT_EQ(a.latencies.size(), b.latencies.size());
-  auto la = a.latencies, lb = b.latencies;
-  std::sort(la.begin(), la.end());
-  std::sort(lb.begin(), lb.end());
-  for (std::size_t i = 0; i < la.size(); i += la.size() / 16 + 1) {
-    EXPECT_NEAR(la[i], lb[i], 0.05 * la[i] + 1e-9) << "quantile " << i;
-  }
+  EXPECT_GT(a.epoch_seconds, 0.0);
+  EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
+  EXPECT_EQ(a.latency_p50, b.latency_p50);
+  EXPECT_EQ(a.latencies, b.latencies);
 }
 
 TEST(Pipeline, DifferentSeedsDifferentTimelines) {

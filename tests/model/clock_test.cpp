@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 namespace dds::model {
 namespace {
 
@@ -76,28 +73,6 @@ TEST(BusyResource, AggregateWorkConserved) {
   // All ops share bucket 0: the last completes after the full 5 ms of work.
   EXPECT_DOUBLE_EQ(last, 100 * 50e-6);
   EXPECT_DOUBLE_EQ(r.total_work(), 100 * 50e-6);
-}
-
-TEST(BusyResource, ConcurrentAcquiresConserveWork) {
-  BusyResource r;
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 1000;
-  constexpr double kDur = 10e-6;
-  std::vector<std::thread> threads;
-  double max_completion[kThreads] = {};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        max_completion[t] =
-            std::max(max_completion[t], r.acquire(0.0, kDur));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_NEAR(r.total_work(), kThreads * kOpsPerThread * kDur, 1e-9);
-  double last = 0;
-  for (const double v : max_completion) last = std::max(last, v);
-  EXPECT_NEAR(last, kThreads * kOpsPerThread * kDur, 1e-9);
 }
 
 TEST(BusyResource, ResetClearsState) {

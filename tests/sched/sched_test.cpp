@@ -6,8 +6,6 @@
 //     changes;
 //   * the greedy owner-first pass is cost-optimal — proven against the
 //     exact Hungarian oracle on small instances, not just argued;
-//   * assignments are a pure function of (permutation, layout) — identical
-//     across execution engines (fibers vs threads);
 //   * the sampler re-derives against the *live* layout, so an elastic
 //     width change is picked up by the very next batch with no hook.
 #include "sched/sampler.hpp"
@@ -16,7 +14,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -162,13 +159,10 @@ constexpr std::uint64_t kBatch = 8;
 
 /// Runs the locality sampler on `nranks` in-process ranks and returns, per
 /// step, the concatenation of every rank's batch_ids (rank order).
-std::vector<std::vector<std::uint64_t>> gather_epoch(
-    int nranks, int width, std::uint64_t steps,
-    std::optional<simmpi::Engine> engine = std::nullopt) {
+std::vector<std::vector<std::uint64_t>> gather_epoch(int nranks, int width,
+                                                     std::uint64_t steps) {
   std::vector<std::vector<std::uint64_t>> per_step(steps);
-  std::mutex mu;
-  simmpi::Runtime rt(nranks, model::perlmutter(), /*seed=*/11,
-                     /*deterministic=*/false, engine);
+  simmpi::Runtime rt(nranks, model::perlmutter(), /*seed=*/11);
   rt.run([&](simmpi::Comm& comm) {
     const core::Layout layout = make_layout(nranks, width, kSamples);
     LocalityAwareSampler sampler(
@@ -180,10 +174,7 @@ std::vector<std::vector<std::uint64_t>> gather_epoch(
       const auto mine = sampler.batch_ids(step);
       const auto all =
           comm.allgatherv(std::span<const std::uint64_t>(mine));
-      if (comm.rank() == 0) {
-        const std::scoped_lock lock(mu);
-        per_step[step] = all;
-      }
+      if (comm.rank() == 0) per_step[step] = all;
     }
   });
   return per_step;
@@ -217,16 +208,6 @@ TEST(LocalityAwareSampler, EveryBatchIsAPermutationOfTheShuffles) {
     EXPECT_EQ(got, want) << "step " << step
                          << ": global-batch multiset changed";
   }
-}
-
-TEST(LocalityAwareSampler, IdenticalAcrossExecutionEngines) {
-  const int nranks = 8, width = 2;
-  const std::uint64_t steps = 3;
-  const auto fibers =
-      gather_epoch(nranks, width, steps, simmpi::Engine::Fibers);
-  const auto threads =
-      gather_epoch(nranks, width, steps, simmpi::Engine::Threads);
-  EXPECT_EQ(fibers, threads);
 }
 
 TEST(LocalityAwareSampler, RederivesAgainstLiveLayoutAfterWidthChange) {

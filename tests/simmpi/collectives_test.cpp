@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 
 #include "simmpi/runtime.hpp"
@@ -172,16 +171,16 @@ TEST(Runtime, ReusableAfterFailure) {
         c.barrier();
       }),
       DataError);
-  std::atomic<int> ok{0};
+  int ok = 0;
   rt.run([&](Comm& c) {
     c.barrier();
-    ok.fetch_add(1);
+    ++ok;
   });
-  EXPECT_EQ(ok.load(), 3);
+  EXPECT_EQ(ok, 3);
 }
 
 TEST(Runtime, ManyRanksScale) {
-  // Sanity: a 256-thread world completes collectives promptly.
+  // Sanity: a 256-rank world completes collectives promptly.
   Runtime rt(256, model::perlmutter());
   rt.run([](Comm& c) {
     const int total = c.allreduce(1, Op::Sum);

@@ -1,8 +1,7 @@
-// Fiber engine tests: default-engine selection, bit-equal same-seed replay
-// at 256 ranks, cooperative yield correctness for every blocking op
-// (barrier, two-sided recv, window lock epochs), engine parity against the
-// deterministic thread engine, abort propagation, loud deadlock detection,
-// and the DDS_FIBER_STACK_KB / guard-page overflow contract.
+// Fiber engine tests: bit-equal same-seed replay at 256 ranks, cooperative
+// yield correctness for every blocking op (barrier, two-sided recv, window
+// lock epochs), abort propagation, loud deadlock detection, and the
+// DDS_FIBER_STACK_KB / guard-page overflow contract.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,10 +16,10 @@
 #include "simmpi/runtime.hpp"
 #include "simmpi/window.hpp"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#if defined(__SANITIZE_ADDRESS__)
 #define DDS_TEST_UNDER_SANITIZER 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#if __has_feature(address_sanitizer)
 #define DDS_TEST_UNDER_SANITIZER 1
 #endif
 #endif
@@ -32,9 +31,8 @@ namespace dds::simmpi {
 namespace {
 
 /// Scoped environment override restoring the previous value on exit, so
-/// tests that steer DDS_ENGINE / DDS_FIBER_STACK_KB compose with whatever
-/// environment the suite itself runs under (e.g. CI's DDS_ENGINE=threads
-/// TSan job).
+/// tests that steer DDS_FIBER_STACK_KB compose with whatever environment
+/// the suite itself runs under.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -62,9 +60,8 @@ class ScopedEnv {
 /// (barrier-backed), a parity-ordered ring of two-sided sends/recvs, and a
 /// window epoch with shared reads plus exclusively-locked accumulates.
 /// Returns every rank's final virtual-clock reading.
-std::vector<double> run_workload(int nranks, Engine eng,
-                                 bool deterministic = true) {
-  Runtime rt(nranks, model::test_machine(), /*seed=*/42, deterministic, eng);
+std::vector<double> run_workload(int nranks) {
+  Runtime rt(nranks, model::test_machine(), /*seed=*/42);
   std::vector<double> clocks(static_cast<std::size_t>(nranks), 0.0);
   rt.run([&](Comm& c) {
     const int rank = c.rank();
@@ -99,39 +96,20 @@ std::vector<double> run_workload(int nranks, Engine eng,
 }
 
 TEST(FiberEngine, IsTheDefaultEngine) {
-  const ScopedEnv env("DDS_ENGINE", nullptr);
-  EXPECT_EQ(engine_from_env(), Engine::Fibers);
+  // Every rank runs as a fiber on the calling thread: a run that touches a
+  // wait point must have switched contexts.
   Runtime rt(4, model::test_machine());
-  EXPECT_EQ(rt.engine(), Engine::Fibers);
-  EXPECT_NE(rt.fiber_scheduler(), nullptr);
-  // Fibers are cooperative whether or not `deterministic` was requested.
-  EXPECT_TRUE(rt.deterministic());
-  EXPECT_NE(rt.scheduler(), nullptr);
-}
-
-TEST(FiberEngine, EngineFromEnvParsesAndRejects) {
-  {
-    const ScopedEnv env("DDS_ENGINE", "threads");
-    EXPECT_EQ(engine_from_env(), Engine::Threads);
-  }
-  {
-    const ScopedEnv env("DDS_ENGINE", "fibers");
-    EXPECT_EQ(engine_from_env(), Engine::Fibers);
-  }
-  {
-    const ScopedEnv env("DDS_ENGINE", "green-threads");
-    EXPECT_THROW(engine_from_env(), ConfigError);
-  }
-  EXPECT_STREQ(engine_name(Engine::Fibers), "fibers");
-  EXPECT_STREQ(engine_name(Engine::Threads), "threads");
+  ASSERT_NE(rt.fiber_scheduler(), nullptr);
+  EXPECT_EQ(rt.fiber_scheduler()->switch_count(), 0u);
+  rt.run([&](Comm& c) { c.barrier(); });
+  EXPECT_GT(rt.fiber_scheduler()->switch_count(), 0u);
 }
 
 TEST(FiberEngine, SameSeedReplayIsBitEqualAt256Ranks) {
-  // The headline determinism contract at a rank count the thread engine
-  // cannot reach in reasonable test time: two runs, exact double equality
-  // on every rank's final clock.
-  const auto a = run_workload(256, Engine::Fibers);
-  const auto b = run_workload(256, Engine::Fibers);
+  // The headline determinism contract at scale: two runs, exact double
+  // equality on every rank's final clock.
+  const auto a = run_workload(256);
+  const auto b = run_workload(256);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t r = 0; r < a.size(); ++r) {
     EXPECT_EQ(a[r], b[r]) << "rank " << r;
@@ -139,22 +117,10 @@ TEST(FiberEngine, SameSeedReplayIsBitEqualAt256Ranks) {
   }
 }
 
-TEST(FiberEngine, MatchesDeterministicThreadEngineExactly) {
-  // Engine parity at the simmpi level: same workload, same seed, both
-  // cooperative engines — clocks must agree bit for bit, because the fiber
-  // rotation IS the thread engine's token rotation minus the kernel.
-  const auto fibers = run_workload(8, Engine::Fibers);
-  const auto threads = run_workload(8, Engine::Threads);
-  ASSERT_EQ(fibers.size(), threads.size());
-  for (std::size_t r = 0; r < fibers.size(); ++r) {
-    EXPECT_EQ(fibers[r], threads[r]) << "rank " << r;
-  }
-}
-
 TEST(FiberEngine, CooperativeRecvUnblocksSender) {
   // Rank 1 parks in recv before rank 0 ever sends: the park must hand the
   // execution token onward (to rank 0) instead of spinning the only thread.
-  Runtime rt(2, model::test_machine(), 42, false, Engine::Fibers);
+  Runtime rt(2, model::test_machine());
   rt.run([&](Comm& c) {
     if (c.rank() == 1) {
       const auto got = c.recv<int>(0, /*tag=*/3);
@@ -172,7 +138,7 @@ TEST(FiberEngine, CooperativeRecvUnblocksSender) {
 TEST(FiberEngine, SharedAndExclusiveWindowEpochsInterleave) {
   constexpr int kRanks = 8;
   constexpr int kRounds = 16;
-  Runtime rt(kRanks, model::test_machine(), 42, false, Engine::Fibers);
+  Runtime rt(kRanks, model::test_machine());
   rt.run([&](Comm& c) {
     std::vector<double> region(4, 0.0);
     Window win(c, MutableByteSpan(reinterpret_cast<std::byte*>(region.data()),
@@ -201,7 +167,7 @@ TEST(FiberEngine, SharedAndExclusiveWindowEpochsInterleave) {
 }
 
 TEST(FiberEngine, AbortPropagatesAndRuntimeStaysReusable) {
-  Runtime rt(3, model::test_machine(), 42, false, Engine::Fibers);
+  Runtime rt(3, model::test_machine());
   EXPECT_THROW(rt.run([&](Comm& c) {
                  if (c.rank() == 1) throw IoError("injected");
                  c.barrier();
@@ -217,8 +183,8 @@ TEST(FiberEngine, CooperativeDeadlockFailsLoudly) {
   // Rank 0 waits for a message nobody will send while rank 1 exits: every
   // live fiber is parked on a false predicate.  The scheduler must detect
   // it immediately (no spin cap needed), drain the parked fiber via the
-  // abort flag, and surface the same InternalError the thread engine does.
-  Runtime rt(2, model::test_machine(), 42, false, Engine::Fibers);
+  // abort flag, and surface an InternalError.
+  Runtime rt(2, model::test_machine());
   EXPECT_THROW(rt.run([&](Comm& c) {
                  if (c.rank() == 0) c.recv<int>(1, /*tag=*/99);
                }),
@@ -228,7 +194,7 @@ TEST(FiberEngine, CooperativeDeadlockFailsLoudly) {
 
 TEST(FiberEngine, StackSizeEnvIsHonoredAndSwitchesAreCounted) {
   const ScopedEnv env("DDS_FIBER_STACK_KB", "256");
-  Runtime rt(4, model::test_machine(), 42, false, Engine::Fibers);
+  Runtime rt(4, model::test_machine());
   ASSERT_NE(rt.fiber_scheduler(), nullptr);
   EXPECT_EQ(rt.fiber_scheduler()->stack_bytes(), 256u * 1024u);
   rt.run([&](Comm& c) {
@@ -241,8 +207,18 @@ TEST(FiberEngine, StackSizeEnvIsHonoredAndSwitchesAreCounted) {
 }
 
 TEST(FiberEngine, BogusStackSizeEnvIsRejected) {
-  const ScopedEnv env("DDS_FIBER_STACK_KB", "lots");
-  EXPECT_THROW(FiberScheduler::stack_bytes_from_env(), ConfigError);
+  // Junk, a sign, zero, and sizes past the 1 GiB ceiling (whose byte count
+  // would wrap) are all rejected rather than mapped as a 0-byte stack.
+  for (const char* bogus :
+       {"lots", "-1", "+64", " 64", "0", "1048577", "18014398509481984",
+        "99999999999999999999999"}) {
+    const ScopedEnv env("DDS_FIBER_STACK_KB", bogus);
+    EXPECT_THROW(FiberScheduler::stack_bytes_from_env(), ConfigError)
+        << bogus;
+  }
+  const ScopedEnv env("DDS_FIBER_STACK_KB", "1048576");
+  EXPECT_EQ(FiberScheduler::stack_bytes_from_env(),
+            FiberScheduler::kMaxStackKb * 1024);
 }
 
 TEST(FiberEngine, TinyStackRequestsAreClampedUp) {
@@ -274,7 +250,7 @@ TEST(FiberEngineDeathTest, OverflowHitsGuardPageLoudly) {
   const ScopedEnv env("DDS_FIBER_STACK_KB", "64");
   EXPECT_DEATH(
       {
-        Runtime rt(1, model::test_machine(), 42, false, Engine::Fibers);
+        Runtime rt(1, model::test_machine());
         rt.run([&](Comm&) {
           volatile std::byte sink{};
           burn_stack(1 << 16, &sink);

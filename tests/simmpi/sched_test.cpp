@@ -1,74 +1,20 @@
-// TurnScheduler unit tests plus deterministic-Runtime integration: token
-// rotation in rank order, cooperative yielding, deadlock detection, and
-// bitwise-reproducible virtual clocks under the deterministic flag.
+// Scheduler-level Runtime integration: bitwise-reproducible virtual clocks
+// across runs, and abort propagation through ranks parked in cooperative
+// waits.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "model/machine.hpp"
 #include "simmpi/runtime.hpp"
-#include "simmpi/sched.hpp"
 
 namespace dds::simmpi {
 namespace {
 
-TEST(TurnScheduler, ExecutesRanksInOrderRegardlessOfSpawnOrder) {
-  constexpr int kRanks = 4;
-  ThreadTurnScheduler sched(kRanks);
-  std::vector<int> order;  // written only by the token holder
-  std::vector<std::thread> threads;
-  // Spawn in REVERSE rank order: the token must still rotate 0,1,2,3.
-  for (int r = kRanks - 1; r >= 0; --r) {
-    threads.emplace_back([&sched, &order, r] {
-      sched.begin_turn(r);
-      order.push_back(r);
-      sched.end_turn();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(TurnScheduler, YieldUntilHandsTokenAndResumes) {
-  ThreadTurnScheduler sched(2);
-  std::atomic<bool> flag{false};
-  std::vector<int> order;
-  std::thread t0([&] {
-    sched.begin_turn(0);
-    sched.yield_until([&] { return flag.load(); });
-    order.push_back(0);  // must run only after rank 1 set the flag
-    sched.end_turn();
-  });
-  std::thread t1([&] {
-    sched.begin_turn(1);
-    flag.store(true);
-    order.push_back(1);
-    sched.end_turn();
-  });
-  t0.join();
-  t1.join();
-  EXPECT_EQ(order, (std::vector<int>{1, 0}));
-}
-
-TEST(TurnScheduler, AllRanksParkedFailsLoudly) {
-  ThreadTurnScheduler sched(1);
-  std::thread t([&] {
-    sched.begin_turn(0);
-    // The only rank waits on a predicate nobody can satisfy: the spin cap
-    // must convert the silent deadlock into a thrown invariant.
-    EXPECT_THROW(sched.yield_until([] { return false; }), InternalError);
-    sched.end_turn();
-  });
-  t.join();
-}
-
-/// One deterministic-mode run of a small mixed workload (collectives +
-/// ring P2P); returns every rank's final virtual-clock reading.
+/// One run of a small mixed workload (collectives + ring P2P); returns
+/// every rank's final virtual-clock reading.
 std::vector<double> run_deterministic(int nranks) {
-  Runtime rt(nranks, model::test_machine(), /*seed=*/42,
-             /*deterministic=*/true);
+  Runtime rt(nranks, model::test_machine(), /*seed=*/42);
   std::vector<double> clocks(static_cast<std::size_t>(nranks), 0.0);
   rt.run([&](Comm& c) {
     const int rank = c.rank();
@@ -103,7 +49,7 @@ TEST(DeterministicRuntime, ClocksBitwiseIdenticalAcrossRuns) {
 TEST(DeterministicRuntime, AbortStillPropagatesUnderScheduler) {
   // A rank throwing mid-program must unwind every peer (some parked in
   // cooperative waits) instead of deadlocking the token rotation.
-  Runtime rt(3, model::test_machine(), 42, /*deterministic=*/true);
+  Runtime rt(3, model::test_machine());
   EXPECT_THROW(rt.run([&](Comm& c) {
                  if (c.rank() == 1) throw IoError("injected");
                  c.barrier();

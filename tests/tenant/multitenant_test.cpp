@@ -3,8 +3,7 @@
 // The load-bearing claims:
 //   * served bytes are a pure function of the tenant's own sampler — a
 //     tenant sharing the store (and its cache) with N-1 others is served
-//     the exact same payload bytes as running solo, on both execution
-//     engines;
+//     the exact same payload bytes as running solo;
 //   * real-GNN loss curves are bit-identical between a solo run and the
 //     same trainer interleaved with another tenant under the arbiter —
 //     interleaving changes execution order, never math;
@@ -16,8 +15,6 @@
 #include "tenant/driver.hpp"
 
 #include <gtest/gtest.h>
-
-#include <mutex>
 
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
@@ -83,13 +80,10 @@ struct MultiTenantTest : public ::testing::Test {
   /// last epoch's reports (rank-identical, so rank 0's copy suffices).
   std::vector<TenantEpochReport> run_driver(
       const std::vector<TenantSpec>& specs, std::uint64_t epochs,
-      std::optional<simmpi::Engine> engine = std::nullopt,
       QosPolicy policy = {}) {
-    simmpi::Runtime rt(kRanks, machine_, /*seed=*/42, /*deterministic=*/true,
-                       engine);
+    simmpi::Runtime rt(kRanks, machine_, /*seed=*/42);
     const auto reader = cff_reader();
     std::vector<TenantEpochReport> out;
-    std::mutex mu;
     rt.run([&](simmpi::Comm& c) {
       auto client = client_for(c);
       core::DDStore store(c, reader, client, store_config());
@@ -100,10 +94,7 @@ struct MultiTenantTest : public ::testing::Test {
       MultiTenantDriver driver(c, reg, machine_, dcfg);
       std::vector<TenantEpochReport> last;
       for (std::uint64_t e = 0; e < epochs; ++e) last = driver.run_epoch(e);
-      if (c.rank() == 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        out = last;
-      }
+      if (c.rank() == 0) out = last;
     });
     return out;
   }
@@ -115,26 +106,24 @@ struct MultiTenantTest : public ::testing::Test {
 
 TEST_F(MultiTenantTest, ServedBytesMatchSoloRunOnBothEngines) {
   const auto specs = four_tenants();
-  for (const auto engine : {simmpi::Engine::Fibers, simmpi::Engine::Threads}) {
-    const auto shared = run_driver(specs, 2, engine);
-    ASSERT_EQ(shared.size(), specs.size());
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-      // Same tenant, alone on a fresh store: the shuffle (hence the unique
-      // id multiset per batch, hence the served bytes) must be identical —
-      // cache sharing changes *where* bytes come from, never *which*.
-      const auto solo = run_driver({specs[k]}, 2, engine);
-      ASSERT_EQ(solo.size(), 1u);
-      EXPECT_EQ(shared[k].served_bytes, solo[0].served_bytes)
-          << "tenant " << specs[k].name;
-      EXPECT_EQ(shared[k].global_samples, solo[0].global_samples);
-      EXPECT_GT(shared[k].served_bytes, 0u);
-    }
+  const auto shared = run_driver(specs, 2);
+  ASSERT_EQ(shared.size(), specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    // Same tenant, alone on a fresh store: the shuffle (hence the unique
+    // id multiset per batch, hence the served bytes) must be identical —
+    // cache sharing changes *where* bytes come from, never *which*.
+    const auto solo = run_driver({specs[k]}, 2);
+    ASSERT_EQ(solo.size(), 1u);
+    EXPECT_EQ(shared[k].served_bytes, solo[0].served_bytes)
+        << "tenant " << specs[k].name;
+    EXPECT_EQ(shared[k].global_samples, solo[0].global_samples);
+    EXPECT_GT(shared[k].served_bytes, 0u);
   }
 }
 
 TEST_F(MultiTenantTest, LabeledCountersPartitionGlobalTraffic) {
   const auto specs = four_tenants();
-  simmpi::Runtime rt(kRanks, machine_, 42, true);
+  simmpi::Runtime rt(kRanks, machine_, 42);
   const auto reader = cff_reader();
   rt.run([&](simmpi::Comm& c) {
     auto client = client_for(c);
@@ -183,73 +172,63 @@ TEST_F(MultiTenantTest, RealLossCurvesBitIdenticalSoloVsInterleaved) {
   bob.seed = 32;
   bob.weight = 3.0;
 
-  for (const auto engine : {simmpi::Engine::Fibers, simmpi::Engine::Threads}) {
-    // Solo runs: each tenant alone on a fresh store, plain run_epoch.
-    std::vector<std::vector<double>> solo_losses(2);
-    for (int which = 0; which < 2; ++which) {
-      simmpi::Runtime rt(kRanks, machine_, 42, true, engine);
-      std::mutex mu;
-      rt.run([&](simmpi::Comm& c) {
-        auto client = client_for(c);
-        core::DDStore store(c, reader, client, store_config());
-        TenantRegistry reg(store);
-        TenantContext& t = reg.admit(which == 0 ? alice : bob);
-        train::RealTrainerConfig cfg = base;
-        cfg.seed = t.spec().seed;
-        train::RealTrainer trainer(c, t.backend(), cfg);
-        std::vector<double> losses;
-        for (std::uint64_t e = 0; e < kEpochs; ++e) {
-          const auto r = trainer.run_epoch(e);
-          losses.push_back(r.train_loss);
-          losses.push_back(r.val_loss);
-        }
-        if (c.rank() == 0) {
-          std::lock_guard<std::mutex> lock(mu);
-          solo_losses[static_cast<std::size_t>(which)] = losses;
-        }
-      });
-    }
-
-    // Interleaved: both tenants share one store; the driver's arbiter
-    // (with bob weighted 3x) interleaves their steps.
-    std::vector<std::vector<double>> shared_losses(2);
-    {
-      simmpi::Runtime rt(kRanks, machine_, 42, true, engine);
-      std::mutex mu;
-      rt.run([&](simmpi::Comm& c) {
-        auto client = client_for(c);
-        core::DDStore store(c, reader, client, store_config());
-        TenantRegistry reg(store);
-        TenantContext& ta = reg.admit(alice);
-        TenantContext& tb = reg.admit(bob);
-        train::RealTrainerConfig ca = base;
-        ca.seed = ta.spec().seed;
-        train::RealTrainerConfig cb = base;
-        cb.seed = tb.spec().seed;
-        train::RealTrainer tra(c, ta.backend(), ca);
-        train::RealTrainer trb(c, tb.backend(), cb);
-        MultiTenantDriver driver(c, reg, machine_);
-        std::vector<std::vector<double>> losses(2);
-        for (std::uint64_t e = 0; e < kEpochs; ++e) {
-          const auto results = driver.run_real_epoch(e, {&tra, &trb});
-          for (int k = 0; k < 2; ++k) {
-            losses[static_cast<std::size_t>(k)].push_back(
-                results[static_cast<std::size_t>(k)].train_loss);
-            losses[static_cast<std::size_t>(k)].push_back(
-                results[static_cast<std::size_t>(k)].val_loss);
-          }
-        }
-        if (c.rank() == 0) {
-          std::lock_guard<std::mutex> lock(mu);
-          shared_losses = losses;
-        }
-      });
-    }
-
-    // Bit-identical, not approximately equal.
-    EXPECT_EQ(solo_losses[0], shared_losses[0]) << "alice";
-    EXPECT_EQ(solo_losses[1], shared_losses[1]) << "bob";
+  // Solo runs: each tenant alone on a fresh store, plain run_epoch.
+  std::vector<std::vector<double>> solo_losses(2);
+  for (int which = 0; which < 2; ++which) {
+    simmpi::Runtime rt(kRanks, machine_, 42);
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      core::DDStore store(c, reader, client, store_config());
+      TenantRegistry reg(store);
+      TenantContext& t = reg.admit(which == 0 ? alice : bob);
+      train::RealTrainerConfig cfg = base;
+      cfg.seed = t.spec().seed;
+      train::RealTrainer trainer(c, t.backend(), cfg);
+      std::vector<double> losses;
+      for (std::uint64_t e = 0; e < kEpochs; ++e) {
+        const auto r = trainer.run_epoch(e);
+        losses.push_back(r.train_loss);
+        losses.push_back(r.val_loss);
+      }
+      if (c.rank() == 0) solo_losses[static_cast<std::size_t>(which)] = losses;
+    });
   }
+
+  // Interleaved: both tenants share one store; the driver's arbiter
+  // (with bob weighted 3x) interleaves their steps.
+  std::vector<std::vector<double>> shared_losses(2);
+  {
+    simmpi::Runtime rt(kRanks, machine_, 42);
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      core::DDStore store(c, reader, client, store_config());
+      TenantRegistry reg(store);
+      TenantContext& ta = reg.admit(alice);
+      TenantContext& tb = reg.admit(bob);
+      train::RealTrainerConfig ca = base;
+      ca.seed = ta.spec().seed;
+      train::RealTrainerConfig cb = base;
+      cb.seed = tb.spec().seed;
+      train::RealTrainer tra(c, ta.backend(), ca);
+      train::RealTrainer trb(c, tb.backend(), cb);
+      MultiTenantDriver driver(c, reg, machine_);
+      std::vector<std::vector<double>> losses(2);
+      for (std::uint64_t e = 0; e < kEpochs; ++e) {
+        const auto results = driver.run_real_epoch(e, {&tra, &trb});
+        for (int k = 0; k < 2; ++k) {
+          losses[static_cast<std::size_t>(k)].push_back(
+              results[static_cast<std::size_t>(k)].train_loss);
+          losses[static_cast<std::size_t>(k)].push_back(
+              results[static_cast<std::size_t>(k)].val_loss);
+        }
+      }
+      if (c.rank() == 0) shared_losses = losses;
+    });
+  }
+
+  // Bit-identical, not approximately equal.
+  EXPECT_EQ(solo_losses[0], shared_losses[0]) << "alice";
+  EXPECT_EQ(solo_losses[1], shared_losses[1]) << "bob";
 }
 
 TEST_F(MultiTenantTest, GreedyTenantCannotStarveVictim) {
@@ -268,8 +247,8 @@ TEST_F(MultiTenantTest, GreedyTenantCannotStarveVictim) {
   victim.seed = 42;
   victim.weight = 1.0;
 
-  const auto solo = run_driver({victim}, 2, std::nullopt, policy);
-  const auto shared = run_driver({greedy, victim}, 2, std::nullopt, policy);
+  const auto solo = run_driver({victim}, 2, policy);
+  const auto shared = run_driver({greedy, victim}, 2, policy);
   ASSERT_EQ(shared.size(), 2u);
 
   // The victim made progress, its wait never exceeded the bound, and its

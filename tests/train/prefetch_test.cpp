@@ -4,8 +4,6 @@
 // (Prefetching mode beats the serial baseline and reports planner traffic).
 #include <gtest/gtest.h>
 
-#include <mutex>
-
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "train/sim_trainer.hpp"
@@ -42,7 +40,6 @@ class PrefetchTest : public ::testing::Test {
   std::pair<double, double> run_loader_epoch(int depth, double rho,
                                              double compute_s) {
     double elapsed = 0, hidden = 0;
-    std::mutex m;
     simmpi::Runtime rt(2, machine_);
     const auto r = reader();
     rt.run([&](simmpi::Comm& c) {
@@ -67,7 +64,6 @@ class PrefetchTest : public ::testing::Test {
       EXPECT_EQ(batches, loader.steps_per_epoch());
       EXPECT_EQ(loader.latencies().count(), batches * 8);
       const double t = c.allreduce(c.clock().now() - t0, simmpi::Op::Max);
-      const std::scoped_lock lock(m);
       if (c.rank() == 0) {
         elapsed = t;
         hidden = loader.overlap_hidden_seconds();
@@ -165,7 +161,6 @@ TEST_F(PrefetchTest, PrefetchingBeatsSerialBaselineEndToEnd) {
   // The tentpole claim at test scale, through the full trainer: coalesced
   // fetches + depth-1 prefetch strictly beat the per-sample serial path.
   double serial = 0, prefetched = 0;
-  std::mutex m;
   const auto r = reader();
   for (const bool prefetch : {false, true}) {
     simmpi::Runtime rt(4, machine_);
@@ -184,7 +179,6 @@ TEST_F(PrefetchTest, PrefetchingBeatsSerialBaselineEndToEnd) {
       cfg.prefetch_depth = prefetch ? 1 : 0;
       SimulatedTrainer trainer(c, backend, sampler, machine_, cfg);
       const auto report = trainer.run_epoch(0);
-      const std::scoped_lock lock(m);
       if (c.rank() == 0) (prefetch ? prefetched : serial) = report.epoch_seconds;
     });
   }

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Exact perf gate: diff a fresh bench_ci_perf run against the baseline.
 
-The bench runs under the deterministic TurnScheduler, so every modeled
-epoch time is bit-reproducible; the committed baseline is therefore an
+The bench runs every rank as a fiber in a fixed cyclic order, so every
+modeled epoch time is bit-reproducible; the committed baseline is therefore an
 *exact* contract, not a tolerance band.  Any non-identical value means the
 cost model, fetch planner, cache, or scheduler changed behaviour — which
 is either a regression or an intentional change that must update the

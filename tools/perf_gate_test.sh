@@ -2,7 +2,7 @@
 # Self-test of the exact perf gate, run as a ctest test:
 #
 #   1. bench_ci_perf twice -> the two outputs must be byte-identical
-#      (the deterministic TurnScheduler contract);
+#      (the fiber scheduler's determinism contract);
 #   2. check_perf.py fresh-vs-baseline must pass (the committed baseline
 #      is current);
 #   3. bench_ci_perf --perturb (a 1e-4 synthetic network-latency drift)
