@@ -105,7 +105,8 @@ int main(int argc, char** argv) {
                                             : core::BatchFetchMode::PerSample;
         run.loader_mode = coalesced ? train::LoaderMode::Prefetching
                                     : train::LoaderMode::Pipelined;
-        run.prefetch_depth = 2;  // Pipelined cells ignore this knob
+        // Pipelined: back-pressure depth; Prefetching: batches staged ahead.
+        run.prefetch_depth = 2;
         run.ddstore.cache_capacity_bytes =
             cache ? (1ull << 40) : 0;  // unbounded in practice
         const auto result = run_training(data, run, BackendKind::DDStore);

@@ -1,18 +1,20 @@
 // Fig. 7: Score-P-style profile of HydraGNN + DDStore training on the
 // AISD-Ex discrete dataset with 64 Summit nodes (384 GPUs).
 //
-// A Tracer records named regions with call counts (the Score-P view);
-// the MPI one-sided rows come from the span-level EventTracer — every
-// win_lock/win_get/win_unlock the fetch path actually issued, merged
-// across all ranks — instead of being synthesized from fetch counters.
+// Every row comes from the span-level EventTracer, merged across all
+// ranks: the trainer's phase spans become the Score-P regions, and the
+// MPI one-sided rows are every win_lock/win_get the fetch path actually
+// issued, instead of being synthesized from fetch counters.
 // Paper: "Data loading accounts for approximately 67% of the training
 // duration, while MPI RMA functions contribute to about 35% of the
 // overall time spent in training."
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <stdexcept>
 
 #include "common/harness.hpp"
 #include "common/tracing/export.hpp"
-#include "train/trace.hpp"
 
 using namespace dds;
 using namespace dds::bench;
@@ -32,7 +34,6 @@ int main() {
   StagedData data(machine, sc.kind, sc.num_samples, kRanks,
                   /*with_pff=*/false);
 
-  train::Tracer merged;
   core::DDStoreStats store_stats;
 
   simmpi::Runtime rt(kRanks, machine, sc.seed);
@@ -58,50 +59,82 @@ int main() {
     cfg.input_dim = data.input_dim();
     cfg.output_dim = data.dataset().spec().target_dim;
     train::SimulatedTrainer trainer(comm, backend, sampler, machine, cfg);
-    train::Tracer tracer;
-    trainer.set_tracer(&tracer);
     trainer.run_epoch(0);
 
-    merged.merge(tracer);
     if (comm.rank() == 0) store_stats = store.stats();
     comm.barrier();
   });
 
-  // MPI one-sided rows, measured: roll the per-rank win_* spans up and
-  // split each get's span time into its lock-epoch share (the model folds
-  // the shared-lock round trip into the per-access RMA overhead, so the
-  // split uses the same rma_lock_fraction constant the charge did).
+  // The ring overwrites its oldest events when full; a profile built from
+  // a truncated trace would silently undercount, so refuse it.
+  for (const auto* tr : rt.traces()) {
+    if (tr->dropped() != 0) {
+      throw std::runtime_error("Fig. 7: rank " + std::to_string(tr->rank()) +
+                               " dropped " + std::to_string(tr->dropped()) +
+                               " trace events; raise the ring capacity");
+    }
+  }
+
+  // Score-P regions, keyed by region name: calls and inclusive seconds.
+  struct Region {
+    std::uint64_t calls = 0;
+    double seconds = 0;
+  };
+  const std::map<std::string, const char*> train_regions = {
+      {"load", "DataLoader::load_batch"},
+      {"collate", "Batch::collate"},
+      {"forward", "Model::forward"},
+      {"backward", "Model::backward"},
+      {"allreduce_grad", "MPI_Allreduce(gradients)"},
+      {"optimizer", "AdamW::step"},
+  };
+  std::map<std::string, Region> regions;
+  // MPI one-sided rows: split each get's span time into its lock-epoch
+  // share (the model folds the shared-lock round trip into the per-access
+  // RMA overhead, so the split uses the same rma_lock_fraction constant
+  // the charge did).
   std::uint64_t win_gets = 0, win_locks = 0;
   double win_get_seconds = 0;
   const auto span_rows = tracing::summarize(rt.traces());
   for (const auto& row : span_rows) {
-    if (row.category != tracing::Category::Simmpi) continue;
-    if (row.name == "win_get" || row.name == "win_getv") {
-      win_gets += row.count;
-      win_get_seconds += row.seconds;
-    } else if (row.name == "win_lock") {
-      win_locks += row.count;
+    if (row.category == tracing::Category::Train) {
+      const auto it = train_regions.find(row.name);
+      if (it != train_regions.end()) {
+        regions[it->second] = Region{row.count, row.seconds};
+      }
+    } else if (row.category == tracing::Category::Simmpi) {
+      if (row.name == "win_get" || row.name == "win_getv") {
+        win_gets += row.count;
+        win_get_seconds += row.seconds;
+      } else if (row.name == "win_lock") {
+        win_locks += row.count;
+      }
     }
   }
   const double lock_share = machine.net.rma_lock_fraction;
-  merged.record_n("MPI_Win_lock+unlock(shared)", win_locks,
-                  win_get_seconds * lock_share);
-  merged.record_n("MPI_Get", win_gets,
-                  win_get_seconds * (1.0 - lock_share));
+  regions["MPI_Win_lock+unlock(shared)"] =
+      Region{win_locks, win_get_seconds * lock_share};
+  regions["MPI_Get"] = Region{win_gets, win_get_seconds * (1.0 - lock_share)};
 
-  const double total = merged.total_seconds();
+  double total = 0;
+  for (const auto& [_, r] : regions) total += r.seconds;
+  std::vector<std::pair<std::string, Region>> ranked(regions.begin(),
+                                                     regions.end());
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.seconds > b.second.seconds;
+                   });
   std::printf("# Fig. 7 (Summit, 64 nodes, AISD-Ex discrete, DDStore): "
               "Score-P-style profile, all ranks merged\n");
   print_row({"region", "calls", "seconds", "share"});
-  for (const auto& [name, e] : merged.ranked()) {
-    print_row({name, std::to_string(e.calls), fmt(e.seconds, 2),
-               fmt(100.0 * e.seconds / total, 1) + "%"});
+  for (const auto& [name, r] : ranked) {
+    print_row({name, std::to_string(r.calls), fmt(r.seconds, 2),
+               fmt(100.0 * r.seconds / total, 1) + "%"});
   }
 
-  const auto& entries = merged.entries();
-  const double loading = entries.at("DataLoader::load_batch").seconds;
-  const double rma = entries.at("MPI_Get").seconds +
-                     entries.at("MPI_Win_lock+unlock(shared)").seconds;
+  const double loading = regions.at("DataLoader::load_batch").seconds;
+  const double rma = regions.at("MPI_Get").seconds +
+                     regions.at("MPI_Win_lock+unlock(shared)").seconds;
   std::printf("\nData loading share: %.1f%%  (paper: ~67%%)\n",
               100.0 * loading / total);
   std::printf("MPI RMA share:      %.1f%%  (paper: ~35%%)\n",

@@ -105,6 +105,12 @@ std::vector<train::EpochReport::MetricSample> RunResult::summed_metrics()
   return out;
 }
 
+std::uint64_t RunResult::metric(const std::string& name) const {
+  std::uint64_t sum = 0;
+  for (const auto& e : epochs) sum += e.metric(name);
+  return sum;
+}
+
 std::string metrics_json_fields(
     const std::vector<train::EpochReport::MetricSample>& metrics) {
   std::string out;

@@ -102,6 +102,8 @@ struct RunResult {
   /// Every backend metric summed over the run's epochs (already summed
   /// across ranks per epoch), in registry order.  Empty for file backends.
   std::vector<train::EpochReport::MetricSample> summed_metrics() const;
+  /// One named metric summed over the run's epochs (0 if never registered).
+  std::uint64_t metric(const std::string& name) const;
 };
 
 /// Serializes metric samples as JSON object fields: `"name": value, ...`

@@ -1,4 +1,4 @@
-// Score-P-style phase profiler (used to regenerate the paper's Fig. 7).
+// Per-phase profiler (the breakdowns of the paper's Fig. 5 and Fig. 9).
 //
 // Accumulates virtual seconds per named training phase on each rank;
 // reports merge across ranks with allreduce.  The phases mirror the

@@ -46,11 +46,10 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
 
   if (ploader_) {
     ploader_->begin_epoch(epoch, comm_);
-    run_steps_prefetching();
   } else {
     loader_.begin_epoch(epoch, comm_);
-    run_steps_pipelined();
   }
+  run_steps();
 
   const double local_duration = clock.now() - epoch_begin;
   const double epoch_seconds =
@@ -98,18 +97,6 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
       report.metrics.push_back(EpochReport::MetricSample{names[i], sum[i]});
     }
   }
-  report.resilience.retries = report.metric("retries");
-  report.resilience.failovers = report.metric("failovers");
-  report.resilience.checksum_failures = report.metric("checksum_failures");
-  report.resilience.degraded_reads = report.metric("degraded_reads");
-  report.traffic.lock_epochs = report.metric("lock_epochs");
-  report.traffic.rma_transfers = report.metric("rma_transfers");
-  report.traffic.coalesced_transfers = report.metric("coalesced_transfers");
-  report.traffic.coalesced_segments = report.metric("coalesced_segments");
-  report.traffic.coalesced_bytes = report.metric("coalesced_bytes");
-  report.traffic.lock_epochs_saved = report.metric("lock_epochs_saved");
-  report.traffic.batch_dup_hits = report.metric("batch_dup_hits");
-  report.traffic.coalesced_fallbacks = report.metric("coalesced_fallbacks");
   const double hidden_local =
       ploader_ ? ploader_->overlap_hidden_seconds() - hidden_at_start : 0.0;
   for (const double h : comm_.allgather_untimed(hidden_local)) {
@@ -121,15 +108,25 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
   return report;
 }
 
-void SimulatedTrainer::run_steps_pipelined() {
+void SimulatedTrainer::run_steps() {
   auto& clock = comm_.clock();
   auto& net = comm_.runtime().network();
-  // GPU phases record explicit [t0, t1]: the modeled GPU timeline runs
-  // ahead of the CPU clock, so their spans cannot come from RAII guards.
   tracing::EventTracer* const tr = comm_.tracer();
+  // The one sink for a phase: its PhaseProfile charge and its Train span.
+  // The profile takes the model's `seconds`, never t1 - t0, so its sums are
+  // exactly the cost model's charges.  Spans carry explicit [t0, t1]: the
+  // modeled GPU timeline runs ahead of the CPU clock in Pipelined mode, so
+  // they cannot come from RAII guards.
+  const auto charge = [&](Phase phase, const char* span, double t0, double t1,
+                          double seconds, tracing::EventArgs args = {}) {
+    profile_.add(phase, seconds);
+    if (tr != nullptr) {
+      tr->record(tracing::Category::Train, span, t0, t1, args);
+    }
+  };
 
   double gpu_free = clock.now();
-  std::deque<double> gpu_done_history;
+  std::deque<double> gpu_done_history;  // Pipelined back-pressure window
   const std::uint64_t steps = sampler_->steps_per_epoch();
   const std::uint64_t nominal_batch_payload =
       sampler_->local_batch() * backend_->nominal_sample_bytes();
@@ -145,25 +142,19 @@ void SimulatedTrainer::run_steps_pipelined() {
       for (const double t : cpu_now) max_cpu = std::max(max_cpu, t);
       clock.advance_to(max_cpu);
     }
-    // Bounded prefetch: the CPU may not start batch s until the GPU has
-    // finished batch s - prefetch_depth (buffer back-pressure).
-    if (gpu_done_history.size() >=
-        static_cast<std::size_t>(config_.prefetch_depth)) {
+    // Pipelined bounded prefetch: the CPU may not start batch s until the
+    // GPU has finished batch s - prefetch_depth (buffer back-pressure).
+    if (!ploader_ && gpu_done_history.size() >=
+                         static_cast<std::size_t>(config_.prefetch_depth)) {
       clock.advance_to(gpu_done_history.front());
       gpu_done_history.pop_front();
     }
 
-    // ---- CPU: load ----
+    // ---- CPU: load (a staged Prefetching batch is free here) ----
     const double t_load0 = clock.now();
-    const auto batch = loader_.next();
+    const auto batch = ploader_ ? ploader_->next() : loader_.next();
     DDS_CHECK(batch.has_value());
-    profile_.add(Phase::Load, clock.now() - t_load0);
-    if (tracer_ != nullptr) {
-      tracer_->record("DataLoader::load_batch", clock.now() - t_load0);
-    }
-    if (tr != nullptr) {
-      tr->record(tracing::Category::Train, "load", t_load0, clock.now());
-    }
+    charge(Phase::Load, "load", t_load0, clock.now(), clock.now() - t_load0);
 
     // ---- CPU: collate ----
     const model::BatchShape shape{batch->num_graphs, batch->num_nodes,
@@ -171,20 +162,30 @@ void SimulatedTrainer::run_steps_pipelined() {
     const double t_batch = compute_.batching_time(shape,
                                                   nominal_batch_payload);
     clock.advance(t_batch);
-    profile_.add(Phase::Batch, t_batch);
-    if (tracer_ != nullptr) tracer_->record("Batch::collate", t_batch);
     const double cpu_done = clock.now();
-    if (tr != nullptr) {
-      tr->record(tracing::Category::Train, "collate", cpu_done - t_batch,
-                 cpu_done);
-    }
+    charge(Phase::Batch, "collate", cpu_done - t_batch, cpu_done, t_batch);
 
-    // ---- GPU: forward + backward (overlapped with CPU of later steps) ----
-    const double gpu_start = std::max(gpu_free, cpu_done);
+    // ---- GPU: forward + backward ----
     const double fb = compute_.forward_backward_time(shape);
-    const double gpu_done = gpu_start + fb;
-    profile_.add(Phase::Forward, fb / 3.0);
-    profile_.add(Phase::Backward, 2.0 * fb / 3.0);
+    double gpu_start = 0, gpu_done = 0;
+    if (ploader_) {
+      // The loader refills underneath the compute window.  Fetch overhang
+      // past the window is GPU idle time waiting on data: it counts as
+      // Load, and its time is already covered by the fetch's own spans.
+      gpu_start = cpu_done;
+      ploader_->compute_window(fb);
+      gpu_done = clock.now();
+      const double window = gpu_done - gpu_start;
+      if (window > fb) profile_.add(Phase::Load, window - fb);
+    } else {
+      // Overlapped with the CPU work of later steps.
+      gpu_start = std::max(gpu_free, cpu_done);
+      gpu_done = gpu_start + fb;
+    }
+    charge(Phase::Forward, "forward", gpu_start, gpu_start + fb / 3.0,
+           fb / 3.0);
+    charge(Phase::Backward, "backward", gpu_start + fb / 3.0, gpu_start + fb,
+           2.0 * fb / 3.0);
 
     // ---- gradient all-reduce: starts when the slowest rank finishes ----
     const auto all_done = comm_.allgather_untimed(gpu_done);
@@ -192,124 +193,24 @@ void SimulatedTrainer::run_steps_pipelined() {
     for (const double d : all_done) max_done = std::max(max_done, d);
     const double comm_end =
         net.allreduce_time(comm_.size(), grad_bytes_, max_done);
-    profile_.add(Phase::GradComm, comm_end - gpu_done);
+    tracing::EventArgs comm_args;
+    comm_args.bytes = static_cast<std::int64_t>(grad_bytes_);
+    charge(Phase::GradComm, "allreduce_grad", gpu_done, comm_end,
+           comm_end - gpu_done, comm_args);
 
     // ---- optimizer ----
     const double t_opt = compute_.optimizer_time(grad_bytes_);
-    profile_.add(Phase::Optimizer, t_opt);
     gpu_free = comm_end + t_opt;
-    gpu_done_history.push_back(gpu_free);
-    if (tracer_ != nullptr) {
-      tracer_->record("Model::forward", fb / 3.0);
-      tracer_->record("Model::backward", 2.0 * fb / 3.0);
-      tracer_->record("MPI_Allreduce(gradients)", comm_end - gpu_done);
-      tracer_->record("AdamW::step", t_opt);
-    }
-    if (tr != nullptr) {
-      tr->record(tracing::Category::Train, "forward", gpu_start,
-                 gpu_start + fb / 3.0);
-      tr->record(tracing::Category::Train, "backward", gpu_start + fb / 3.0,
-                 gpu_done);
-      tracing::EventArgs comm_args;
-      comm_args.bytes = static_cast<std::int64_t>(grad_bytes_);
-      tr->record(tracing::Category::Train, "allreduce_grad", gpu_done,
-                 comm_end, comm_args);
-      tr->record(tracing::Category::Train, "optimizer", comm_end,
-                 comm_end + t_opt);
+    charge(Phase::Optimizer, "optimizer", comm_end, gpu_free, t_opt);
+    if (ploader_) {
+      clock.advance_to(gpu_free);
+    } else {
+      gpu_done_history.push_back(gpu_free);
     }
   }
 
   // The epoch ends when this rank's GPU pipeline drains.
   clock.advance_to(gpu_free);
-}
-
-void SimulatedTrainer::run_steps_prefetching() {
-  auto& clock = comm_.clock();
-  auto& net = comm_.runtime().network();
-  tracing::EventTracer* const tr = comm_.tracer();
-  const std::uint64_t steps = sampler_->steps_per_epoch();
-  const std::uint64_t nominal_batch_payload =
-      sampler_->local_batch() * backend_->nominal_sample_bytes();
-
-  for (std::uint64_t step = 0; step < steps; ++step) {
-    // Same cross-rank CPU re-alignment as the pipelined loop (the gradient
-    // all-reduce below synchronizes every rank each step anyway).
-    {
-      const auto cpu_now = comm_.allgather_untimed(clock.now());
-      double max_cpu = clock.now();
-      for (const double t : cpu_now) max_cpu = std::max(max_cpu, t);
-      clock.advance_to(max_cpu);
-    }
-
-    // ---- load: staged batches are free, an empty buffer pays in full ----
-    const double t_load0 = clock.now();
-    const auto batch = ploader_->next();
-    DDS_CHECK(batch.has_value());
-    profile_.add(Phase::Load, clock.now() - t_load0);
-    if (tracer_ != nullptr) {
-      tracer_->record("PrefetchingLoader::next", clock.now() - t_load0);
-    }
-    if (tr != nullptr) {
-      tr->record(tracing::Category::Train, "load", t_load0, clock.now());
-    }
-
-    // ---- collate ----
-    const model::BatchShape shape{batch->num_graphs, batch->num_nodes,
-                                  batch->num_edges(), config_.output_dim};
-    const double t_batch = compute_.batching_time(shape,
-                                                  nominal_batch_payload);
-    clock.advance(t_batch);
-    profile_.add(Phase::Batch, t_batch);
-    if (tracer_ != nullptr) tracer_->record("Batch::collate", t_batch);
-    if (tr != nullptr) {
-      tr->record(tracing::Category::Train, "collate", clock.now() - t_batch,
-                 clock.now());
-    }
-
-    // ---- GPU forward+backward; the loader refills underneath ----
-    const double fb = compute_.forward_backward_time(shape);
-    const double t_fb0 = clock.now();
-    ploader_->compute_window(fb);
-    const double window = clock.now() - t_fb0;
-    profile_.add(Phase::Forward, fb / 3.0);
-    profile_.add(Phase::Backward, 2.0 * fb / 3.0);
-    // Fetch overhang past the compute window is GPU idle time waiting on
-    // data; attribute it to Load so the breakdown stays honest.
-    if (window > fb) profile_.add(Phase::Load, window - fb);
-
-    // ---- gradient all-reduce: starts when the slowest rank drains ----
-    const double gpu_done = clock.now();
-    const auto all_done = comm_.allgather_untimed(gpu_done);
-    double max_done = gpu_done;
-    for (const double d : all_done) max_done = std::max(max_done, d);
-    const double comm_end =
-        net.allreduce_time(comm_.size(), grad_bytes_, max_done);
-    clock.advance_to(comm_end);
-    profile_.add(Phase::GradComm, comm_end - gpu_done);
-
-    // ---- optimizer ----
-    const double t_opt = compute_.optimizer_time(grad_bytes_);
-    clock.advance(t_opt);
-    profile_.add(Phase::Optimizer, t_opt);
-    if (tracer_ != nullptr) {
-      tracer_->record("Model::forward", fb / 3.0);
-      tracer_->record("Model::backward", 2.0 * fb / 3.0);
-      tracer_->record("MPI_Allreduce(gradients)", comm_end - gpu_done);
-      tracer_->record("AdamW::step", t_opt);
-    }
-    if (tr != nullptr) {
-      tr->record(tracing::Category::Train, "forward", t_fb0,
-                 t_fb0 + fb / 3.0);
-      tr->record(tracing::Category::Train, "backward", t_fb0 + fb / 3.0,
-                 t_fb0 + fb);
-      tracing::EventArgs comm_args;
-      comm_args.bytes = static_cast<std::int64_t>(grad_bytes_);
-      tr->record(tracing::Category::Train, "allreduce_grad", gpu_done,
-                 comm_end, comm_args);
-      tr->record(tracing::Category::Train, "optimizer", comm_end - t_opt,
-                 comm_end);
-    }
-  }
 }
 
 LatencyRecorder SimulatedTrainer::gather_latencies() {

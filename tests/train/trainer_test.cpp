@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/tracing/tracer.hpp"
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "formats/pff.hpp"
@@ -116,6 +119,58 @@ TEST_F(TrainTest, DDStoreFasterThanFileBackend) {
     });
   }
   EXPECT_LT(dds_time, pff_time);
+}
+
+TEST_F(TrainTest, GpuPhaseSpansTileEachStepInBothLoaderModes) {
+  // Per rank, every step records forward -> backward -> allreduce_grad ->
+  // optimizer on the GPU timeline.  The spans must come in that order,
+  // never overlap (also across steps), and the optimizer must start the
+  // instant the gradient all-reduce ends.
+  const char* const kGpuPhases[] = {"forward", "backward", "allreduce_grad",
+                                    "optimizer"};
+  for (const LoaderMode mode : {LoaderMode::Pipelined,
+                                LoaderMode::Prefetching}) {
+    SCOPED_TRACE(mode == LoaderMode::Pipelined ? "Pipelined" : "Prefetching");
+    simmpi::Runtime rt(4, machine_);
+    rt.enable_tracing(/*capacity_per_rank=*/1u << 14);
+    const auto r = reader();
+    std::uint64_t steps = 0;
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      core::DDStore store(c, r, client);
+      DDStoreBackend backend(store);
+      GlobalShuffleSampler sampler(kSamples, 4, 2);
+      SimTrainerConfig cfg;
+      cfg.input_dim = 2;
+      cfg.loader_mode = mode;
+      SimulatedTrainer trainer(c, backend, sampler, machine_, cfg);
+      trainer.run_epoch(0);
+      steps = sampler.steps_per_epoch();
+    });
+    ASSERT_GT(steps, 1u);
+    for (const auto* tr : rt.traces()) {
+      ASSERT_EQ(tr->dropped(), 0u);
+      std::vector<tracing::Event> gpu;
+      for (const auto& e : tr->snapshot()) {
+        if (e.category != tracing::Category::Train) continue;
+        for (const char* phase : kGpuPhases) {
+          if (std::strcmp(e.name, phase) == 0) gpu.push_back(e);
+        }
+      }
+      ASSERT_EQ(gpu.size(), 4 * steps) << "rank " << tr->rank();
+      for (std::size_t i = 0; i < gpu.size(); ++i) {
+        EXPECT_STREQ(gpu[i].name, kGpuPhases[i % 4]);
+        EXPECT_LE(gpu[i].t0, gpu[i].t1);
+        if (i > 0) {
+          EXPECT_LE(gpu[i - 1].t1, gpu[i].t0)
+              << "rank " << tr->rank() << " span " << i << " overlaps";
+        }
+        if (i % 4 == 3) {
+          EXPECT_EQ(gpu[i].t0, gpu[i - 1].t1);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(TrainTest, GatherLatenciesCollectsAllRanks) {
