@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark): the hot primitives underneath
 // every experiment — registry lookups, placement arithmetic, the sample
 // checksum, sample (de)serialization, batch collation, spectrum smoothing,
-// page-cache access, and the contention primitive.  These measure real
-// wall time of this implementation (unlike the figure benches, which
-// report simulated time).
+// page-cache access, the contention primitive, and simmpi collectives.
+// These measure real wall time of this implementation (unlike the figure
+// benches, which report simulated time).
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <span>
+#include <vector>
 
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
@@ -14,6 +18,7 @@
 #include "fs/pagecache.hpp"
 #include "graph/batch.hpp"
 #include "model/clock.hpp"
+#include "simmpi/runtime.hpp"
 
 namespace {
 
@@ -84,6 +89,58 @@ void BM_Checksum64(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_Checksum64)->Arg(0)->Arg(64 << 10);
+
+// Host cost of one simmpi collective across the whole job (every rank's
+// share plus the fiber switches), at Arg ranks: a barrier, the trainer's
+// 22-counter untimed Sum, and a 7-double timed allreduce.  Each iteration
+// is one run() of kReps collectives; its manual time is the wall time per
+// collective, measured by rank 0 so fiber setup is excluded.
+enum class CollectiveKind { Barrier, CounterSumUntimed, AllreduceDoubles };
+
+void BM_Collective(benchmark::State& state, CollectiveKind kind) {
+  constexpr int kReps = 64;
+  simmpi::Runtime rt(static_cast<int>(state.range(0)), model::perlmutter());
+  for (auto _ : state) {
+    double seconds = 0.0;
+    rt.run([&](simmpi::Comm& c) {
+      std::vector<std::uint64_t> counters(22);
+      std::vector<double> values(7);
+      c.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kReps; ++i) {
+        switch (kind) {
+          case CollectiveKind::Barrier:
+            c.barrier();
+            break;
+          case CollectiveKind::CounterSumUntimed:
+            counters.assign(counters.size(), 1);
+            c.allreduce_untimed(std::span<std::uint64_t>(counters),
+                                simmpi::Op::Sum);
+            benchmark::DoNotOptimize(counters.data());
+            break;
+          case CollectiveKind::AllreduceDoubles:
+            values.assign(values.size(), 0.5 * c.rank());
+            c.allreduce_inplace(std::span<double>(values), simmpi::Op::Sum);
+            benchmark::DoNotOptimize(values.data());
+            break;
+        }
+      }
+      if (c.rank() == 0) {
+        seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+      }
+    });
+    state.SetIterationTime(seconds / kReps);
+  }
+}
+BENCHMARK_CAPTURE(BM_Collective, barrier, CollectiveKind::Barrier)
+    ->Arg(8)->Arg(256)->Arg(1024)->UseManualTime()->Iterations(16);
+BENCHMARK_CAPTURE(BM_Collective, counters22_untimed,
+                  CollectiveKind::CounterSumUntimed)
+    ->Arg(8)->Arg(256)->Arg(1024)->UseManualTime()->Iterations(16);
+BENCHMARK_CAPTURE(BM_Collective, doubles7, CollectiveKind::AllreduceDoubles)
+    ->Arg(8)->Arg(256)->Arg(1024)->UseManualTime()->Iterations(16);
 
 void BM_CollateBatch(benchmark::State& state) {
   Rng rng(5);

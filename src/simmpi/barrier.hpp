@@ -41,15 +41,17 @@ class Barrier {
   Barrier& operator=(const Barrier&) = delete;
 
   /// Blocks until all parties arrive (or throws AbortedError on abort).
-  /// The last arrival flips the generation; earlier ones yield to the
-  /// scheduler until it flips or the abort flag rises.
-  void arrive_and_wait() {
+  /// The last arrival flips the generation and returns true without
+  /// yielding, so it runs before any peer resumes; earlier ones yield to
+  /// the scheduler until it flips or the abort flag rises, then return
+  /// false.
+  bool arrive_and_wait() {
     if (abort_->raised()) throw AbortedError();
     const std::uint64_t gen = generation_;
     if (++count_ == parties_) {
       count_ = 0;
       ++generation_;
-      return;
+      return true;
     }
     sched_->yield_until(
         [&] { return abort_->raised() || generation_ != gen; });
@@ -59,6 +61,7 @@ class Barrier {
       --count_;
       throw AbortedError();
     }
+    return false;
   }
 
   int parties() const { return parties_; }

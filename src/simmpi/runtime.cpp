@@ -92,17 +92,12 @@ Comm Comm::split(int color, int key) {
 std::shared_ptr<void> Comm::share_ptr(
     int root, const std::function<std::shared_ptr<void>()>& make) {
   DDS_CHECK(root >= 0 && root < size());
-  auto& cs = *shared_;
+  auto& published = shared_->any_publish[static_cast<std::size_t>(root)];
   deposit(nullptr, 0);
-  if (rank_ == root) {
-    cs.any_publish[static_cast<std::size_t>(root)] = make();
-  }
-  cs.barrier.arrive_and_wait();
-  double start = 0.0;
-  for (double t : cs.clock_slots) start = std::max(start, t);
-  auto ptr = cs.any_publish[static_cast<std::size_t>(root)];
-  cs.barrier.arrive_and_wait();
-  if (rank_ == root) cs.any_publish[static_cast<std::size_t>(root)].reset();
+  if (rank_ == root) published = make();
+  std::shared_ptr<void> ptr;
+  const double start = read_phase([&](int) { ptr = published; });
+  if (rank_ == root) published.reset();
   finish(start, sizeof(void*));
   return ptr;
 }

@@ -100,6 +100,8 @@ struct CommShared {
   std::vector<ByteBuffer> slot_storage;  ///< backing bytes for `slots`
   std::vector<std::size_t> size_slots;
   std::vector<double> clock_slots;
+  double start = 0.0;  ///< current collective's start (see read_phase)
+  ByteBuffer reduced;  ///< current allreduce's result (see reduce_phase)
   std::vector<std::shared_ptr<CommShared>> publish;  ///< for split()
   std::vector<std::shared_ptr<void>> any_publish;    ///< for Window::create
 };
@@ -166,24 +168,30 @@ class Comm {
     return result;
   }
 
+  /// Elementwise allreduce; every rank receives the same bits (the left
+  /// fold in rank order).
   template <typename T>
     requires TriviallySerializable<T>
   void allreduce_inplace(std::span<T> data, Op op) {
     const double t0 = clock_now();
-    // deposit() snapshots the *input*, so folding into `data` in place is
-    // safe while peers read the published snapshot.
-    deposit(data.data(), data.size() * sizeof(T));
-    const double done = read_phase([&](int nranks) {
-      for (int r = 0; r < nranks; ++r) {
-        if (r == rank_) continue;
-        const T* theirs = static_cast<const T*>(shared_->slots[r]);
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          data[i] = detail::apply_op(op, data[i], theirs[i]);
-        }
-      }
-    });
-    finish(done, data.size() * sizeof(T));
+    const double start = reduce_phase(data, op);
+    finish(start, data.size() * sizeof(T));
     trace_collective("allreduce", t0, data.size() * sizeof(T));
+  }
+
+  /// allreduce_inplace that does NOT advance virtual clocks or record a
+  /// span — for bookkeeping reductions (clock realignment, counter totals)
+  /// that must not perturb the time model.
+  template <typename T>
+    requires TriviallySerializable<T>
+  void allreduce_untimed(std::span<T> data, Op op) {
+    reduce_phase(data, op);
+  }
+
+  template <typename T>
+  T allreduce_untimed(T value, Op op) {
+    allreduce_untimed(std::span<T>(&value, 1), op);
+    return value;
   }
 
   template <typename T>
@@ -423,16 +431,64 @@ class Comm {
     shared_->clock_slots[static_cast<std::size_t>(rank_)] = clock_now();
   }
 
-  /// Runs `fn` between the two barriers of an exchange; returns the max
-  /// deposit-time across ranks (the collective's start time).
-  template <typename F>
-  double read_phase(F&& fn) {
-    shared_->barrier.arrive_and_wait();
-    double start = 0.0;
-    for (double t : shared_->clock_slots) start = std::max(start, t);
-    fn(size());
-    shared_->barrier.arrive_and_wait();
+  /// Runs one exchange between two barriers and returns the collective's
+  /// start time (the max deposit time across ranks).  The last rank to
+  /// reach the first barrier runs before any peer resumes, so it alone
+  /// computes the start and runs `once`; then every rank runs
+  /// `each(size())`.  Shared work thus costs O(N) per collective, not per
+  /// rank.  `start` and `reduced` stay valid until the second barrier.
+  template <typename Once, typename Each>
+  double read_phase(Once&& once, Each&& each) {
+    detail::CommShared& cs = *shared_;
+    if (cs.barrier.arrive_and_wait()) {
+      cs.start = 0.0;
+      for (double t : cs.clock_slots) cs.start = std::max(cs.start, t);
+      once();
+    }
+    const double start = cs.start;
+    each(size());
+    cs.barrier.arrive_and_wait();
     return start;
+  }
+
+  template <typename Each>
+  double read_phase(Each&& each) {
+    return read_phase([] {}, std::forward<Each>(each));
+  }
+
+  /// The fold every allreduce shares.  The last arriver validates that all
+  /// ranks passed the same length, then folds the snapshots once, left to
+  /// right in rank order, into CommShared::reduced; every rank copies that
+  /// one result.  On the abort path (`once` threw) `reduced` is empty, so
+  /// a peer never reads past it.  Returns the collective's start time.
+  template <typename T>
+    requires TriviallySerializable<T>
+  double reduce_phase(std::span<T> data, Op op) {
+    const std::size_t bytes = data.size() * sizeof(T);
+    deposit(data.data(), bytes);
+    detail::CommShared& cs = *shared_;
+    return read_phase(
+        [&] {
+          cs.reduced.clear();
+          for (const std::size_t b : cs.size_slots) {
+            DDS_CHECK_MSG(b == bytes,
+                          "allreduce: ranks passed different lengths");
+          }
+          cs.reduced.resize(bytes);
+          if (bytes == 0) return;
+          std::memcpy(cs.reduced.data(), cs.slots[0], bytes);
+          T* acc = reinterpret_cast<T*>(cs.reduced.data());
+          for (int r = 1; r < size(); ++r) {
+            const T* theirs = static_cast<const T*>(cs.slots[r]);
+            for (std::size_t i = 0; i < data.size(); ++i) {
+              acc[i] = detail::apply_op(op, acc[i], theirs[i]);
+            }
+          }
+        },
+        [&](int) {
+          if (cs.reduced.size() != bytes) throw AbortedError();
+          if (bytes != 0) std::memcpy(data.data(), cs.reduced.data(), bytes);
+        });
   }
 
   void finish(double max_start, std::size_t bytes);

@@ -41,10 +41,7 @@ MultiTenantDriver::~MultiTenantDriver() {
 
 void MultiTenantDriver::align_cpu_clocks() {
   auto& clock = comm_.clock();
-  const auto cpu_now = comm_.allgather_untimed(clock.now());
-  double max_cpu = clock.now();
-  for (const double t : cpu_now) max_cpu = std::max(max_cpu, t);
-  clock.advance_to(max_cpu);
+  clock.advance_to(comm_.allreduce_untimed(clock.now(), simmpi::Op::Max));
 }
 
 std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
@@ -109,11 +106,9 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     const double gpu_done = gpu_start + fb;
 
     // ---- gradient all-reduce across this tenant's replicas ----
-    const auto all_done = comm_.allgather_untimed(gpu_done);
-    double max_done = gpu_done;
-    for (const double d : all_done) max_done = std::max(max_done, d);
-    const double comm_end =
-        net.allreduce_time(comm_.size(), grad_bytes_, max_done);
+    const double comm_end = net.allreduce_time(
+        comm_.size(), grad_bytes_,
+        comm_.allreduce_untimed(gpu_done, simmpi::Op::Max));
     const double t_opt = compute_.optimizer_time(grad_bytes_);
     gpu_free[static_cast<std::size_t>(k)] = comm_end + t_opt;
     completion[static_cast<std::size_t>(k)] =
@@ -130,22 +125,14 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
   }
 
   // ---- reporting (untimed exchanges; must not perturb the time model) ----
-  const std::vector<std::uint64_t> counters_now = registry.counter_values();
-  DDS_CHECK_MSG(counters_now.size() == counters_at_start.size(),
+  std::vector<std::uint64_t> summed = registry.counter_values();
+  DDS_CHECK_MSG(summed.size() == counters_at_start.size(),
                 "metrics registered mid-epoch break delta accounting");
-  std::vector<std::uint64_t> local_delta(counters_now.size());
-  for (std::size_t i = 0; i < counters_now.size(); ++i) {
-    local_delta[i] = counters_now[i] - counters_at_start[i];
+  for (std::size_t i = 0; i < summed.size(); ++i) {
+    summed[i] -= counters_at_start[i];
   }
-  const std::vector<std::uint64_t> all_deltas = comm_.allgatherv_untimed(
-      std::span<const std::uint64_t>(local_delta.data(), local_delta.size()));
+  comm_.allreduce_untimed(std::span<std::uint64_t>(summed), simmpi::Op::Sum);
   const auto& names = registry.counter_names();
-  DDS_CHECK(all_deltas.size() ==
-            names.size() * static_cast<std::size_t>(comm_.size()));
-  std::vector<std::uint64_t> summed(names.size(), 0);
-  for (std::size_t i = 0; i < all_deltas.size(); ++i) {
-    summed[i % names.size()] += all_deltas[i];
-  }
   const auto summed_counter = [&](const std::string& name) -> std::uint64_t {
     for (std::size_t i = 0; i < names.size(); ++i) {
       if (names[i] == name) return summed[i];
@@ -166,11 +153,10 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
 
     // Wall time the tenant experienced: its last step's completion, maxed
     // across ranks (untimed exchange — the clock already drained).
-    double local_done = completion[static_cast<std::size_t>(k)];
-    for (const double d : comm_.allgather_untimed(local_done)) {
-      local_done = std::max(local_done, d);
-    }
-    r.epoch_seconds = local_done - epoch_begin;
+    r.epoch_seconds = comm_.allreduce_untimed(
+                          completion[static_cast<std::size_t>(k)],
+                          simmpi::Op::Max) -
+                      epoch_begin;
     r.throughput = r.epoch_seconds > 0
                        ? static_cast<double>(r.global_samples) / r.epoch_seconds
                        : 0.0;
@@ -200,13 +186,9 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     r.served_bytes = r.bytes_fetched + r.cache_hit_bytes;
     r.max_wait_grants = arbiter_.max_wait(k);
 
-    const double service_delta = static_cast<double>(
-        arbiter_.service(k) - service_at_start[static_cast<std::size_t>(k)]);
-    double service_sum = 0;
-    for (const double s : comm_.allgather_untimed(service_delta)) {
-      service_sum += s;
-    }
-    r.arbiter_service = static_cast<std::uint64_t>(service_sum);
+    r.arbiter_service = comm_.allreduce_untimed(
+        arbiter_.service(k) - service_at_start[static_cast<std::size_t>(k)],
+        simmpi::Op::Sum);
 
     t.epochs_done = epoch + 1;
   }

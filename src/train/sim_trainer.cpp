@@ -69,39 +69,28 @@ EpochReport SimulatedTrainer::run_epoch(std::uint64_t epoch) {
 
   // Metric counters: this rank's delta over the epoch, summed across ranks
   // elementwise (untimed — bookkeeping must not perturb the time model).
-  // The exchange is collective, so every rank participates even when its
-  // backend keeps no registry (it contributes an empty vector).
-  std::vector<std::uint64_t> local_delta;
+  // The reduction is collective, so every rank participates even when its
+  // backend keeps no registry (it contributes an empty span).
+  std::vector<std::uint64_t> delta;
   if (registry != nullptr) {
-    const std::vector<std::uint64_t> now = registry->counter_values();
-    DDS_CHECK_MSG(now.size() == counters_at_start.size(),
+    delta = registry->counter_values();
+    DDS_CHECK_MSG(delta.size() == counters_at_start.size(),
                   "metrics registered mid-epoch break delta accounting");
-    local_delta.resize(now.size());
-    for (std::size_t i = 0; i < now.size(); ++i) {
-      local_delta[i] = now[i] - counters_at_start[i];
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] -= counters_at_start[i];
     }
   }
-  const std::vector<std::uint64_t> all_deltas = comm_.allgatherv_untimed(
-      std::span<const std::uint64_t>(local_delta.data(), local_delta.size()));
+  comm_.allreduce_untimed(std::span<std::uint64_t>(delta), simmpi::Op::Sum);
   if (registry != nullptr) {
     const auto& names = registry->counter_names();
-    const std::size_t n = names.size();
-    DDS_CHECK(all_deltas.size() ==
-              n * static_cast<std::size_t>(comm_.size()));
-    std::vector<std::uint64_t> sum(n, 0);
-    for (std::size_t i = 0; i < all_deltas.size(); ++i) {
-      sum[i % n] += all_deltas[i];
-    }
-    report.metrics.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      report.metrics.push_back(EpochReport::MetricSample{names[i], sum[i]});
+    report.metrics.reserve(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      report.metrics.push_back(EpochReport::MetricSample{names[i], delta[i]});
     }
   }
-  const double hidden_local =
-      ploader_ ? ploader_->overlap_hidden_seconds() - hidden_at_start : 0.0;
-  for (const double h : comm_.allgather_untimed(hidden_local)) {
-    report.overlap_hidden_s += h;
-  }
+  report.overlap_hidden_s = comm_.allreduce_untimed(
+      ploader_ ? ploader_->overlap_hidden_seconds() - hidden_at_start : 0.0,
+      simmpi::Op::Sum);
   // Epoch boundary: no fetch is in flight on any rank, so the hook may run
   // collective work (the elastic driver reshards the backend here).
   if (epoch_end_hook_) epoch_end_hook_(report);
@@ -136,12 +125,7 @@ void SimulatedTrainer::run_steps() {
     // at the same instant on every rank, so loader timelines re-align here.
     // (This also keeps virtual-clock skew bounded, which the shared-resource
     // queueing model requires — see BusyResource's contract.)
-    {
-      const auto cpu_now = comm_.allgather_untimed(clock.now());
-      double max_cpu = clock.now();
-      for (const double t : cpu_now) max_cpu = std::max(max_cpu, t);
-      clock.advance_to(max_cpu);
-    }
+    clock.advance_to(comm_.allreduce_untimed(clock.now(), simmpi::Op::Max));
     // Pipelined bounded prefetch: the CPU may not start batch s until the
     // GPU has finished batch s - prefetch_depth (buffer back-pressure).
     if (!ploader_ && gpu_done_history.size() >=
@@ -188,11 +172,9 @@ void SimulatedTrainer::run_steps() {
            2.0 * fb / 3.0);
 
     // ---- gradient all-reduce: starts when the slowest rank finishes ----
-    const auto all_done = comm_.allgather_untimed(gpu_done);
-    double max_done = gpu_done;
-    for (const double d : all_done) max_done = std::max(max_done, d);
-    const double comm_end =
-        net.allreduce_time(comm_.size(), grad_bytes_, max_done);
+    const double comm_end = net.allreduce_time(
+        comm_.size(), grad_bytes_,
+        comm_.allreduce_untimed(gpu_done, simmpi::Op::Max));
     tracing::EventArgs comm_args;
     comm_args.bytes = static_cast<std::int64_t>(grad_bytes_);
     charge(Phase::GradComm, "allreduce_grad", gpu_done, comm_end,

@@ -48,6 +48,76 @@ TEST(Collectives, AllreduceInplaceVector) {
   });
 }
 
+TEST(Collectives, AllreduceGivesSameBitsOnEveryRank) {
+  // A floating-point Sum whose value depends on the fold order: left to
+  // right in rank order it is (1e16 + 1) - 1e16 == 0.  Every rank must
+  // read that one result, not a fold started from its own value.
+  Runtime rt(3, test_machine());
+  rt.run([](Comm& c) {
+    const double mine[] = {1e16, 1.0, -1e16};
+    double v = mine[c.rank()];
+    c.allreduce_inplace(std::span<double>(&v, 1), Op::Sum);
+    EXPECT_EQ(v, 0.0) << "rank " << c.rank();
+    EXPECT_EQ(c.allreduce_untimed(mine[c.rank()], Op::Sum), 0.0);
+  });
+}
+
+TEST(Collectives, AllreduceOfDifferentLengthsThrows) {
+  Runtime rt(3, test_machine());
+  EXPECT_THROW(rt.run([](Comm& c) {
+                 std::vector<int> v(c.rank() == 1 ? 2 : 3, 1);
+                 c.allreduce_inplace(std::span<int>(v), Op::Sum);
+               }),
+               InternalError);
+  EXPECT_THROW(rt.run([](Comm& c) {
+                 std::vector<int> v(static_cast<std::size_t>(c.rank()), 1);
+                 c.allreduce_untimed(std::span<int>(v), Op::Max);
+               }),
+               InternalError);
+  // The failed collectives leave the runtime usable.
+  rt.run([](Comm& c) { EXPECT_EQ(c.allreduce(1, Op::Sum), 3); });
+}
+
+class AllreduceUntimedSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AllreduceUntimedSweep, MatchesTimedResultWithoutClockOrSpan) {
+  const int n = GetParam();
+  Runtime rt(n, test_machine());
+  rt.enable_tracing();
+  rt.run([&](Comm& c) {
+    c.clock().advance(1e-3 * c.rank());
+    const double before = c.clock().now();
+    const auto r = static_cast<std::int64_t>(c.rank());
+    const std::vector<std::int64_t> ints = {r * 7 - 20, r * r, -r};
+    const std::vector<double> reals = {0.1 * (r + 1), 1.0 / (r + 3), -0.3 * r};
+    const Op ops[] = {Op::Sum, Op::Min, Op::Max};
+    std::vector<std::vector<std::int64_t>> iu, it;
+    std::vector<std::vector<double>> du, dt;
+    for (const Op op : ops) {
+      iu.push_back(ints);
+      du.push_back(reals);
+      c.allreduce_untimed(std::span<std::int64_t>(iu.back()), op);
+      c.allreduce_untimed(std::span<double>(du.back()), op);
+      EXPECT_EQ(c.allreduce_untimed(reals[0], op), du.back()[0]);
+    }
+    EXPECT_EQ(c.clock().now(), before);
+    EXPECT_EQ(c.tracer()->size(), 0u);
+
+    for (const Op op : ops) {
+      it.push_back(ints);
+      dt.push_back(reals);
+      c.allreduce_inplace(std::span<std::int64_t>(it.back()), op);
+      c.allreduce_inplace(std::span<double>(dt.back()), op);
+    }
+    EXPECT_EQ(iu, it);
+    EXPECT_EQ(du, dt);  // bitwise: both take the one rank-order fold
+    EXPECT_GT(c.tracer()->size(), 0u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, AllreduceUntimedSweep,
+                         ::testing::Values(1, 7, 64));
+
 TEST(Collectives, BcastScalarAndVector) {
   Runtime rt(5, test_machine());
   rt.run([](Comm& c) {
