@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
@@ -103,6 +106,65 @@ struct MultiTenantTest : public ::testing::Test {
   fs::ParallelFileSystem fs_;
   std::unique_ptr<datagen::SyntheticDataset> ds_;
 };
+
+TEST_F(MultiTenantTest, TwoTenantReportsArePinnedBitExactly) {
+  // Every report field of a 2-tenant, 2-epoch WRR run, pinned to the bit
+  // (doubles as hexfloat).  The bench's smoke output rounds latencies to
+  // 1 us, so only this pin proves a driver refactor changed nothing.
+  const auto specs = four_tenants();
+  const std::vector<TenantSpec> two = {specs[0], specs[2]};
+  simmpi::Runtime rt(kRanks, machine_, /*seed=*/42);
+  const auto reader = cff_reader();
+  std::vector<TenantEpochReport> got;
+  rt.run([&](simmpi::Comm& c) {
+    auto client = client_for(c);
+    core::DDStore store(c, reader, client, store_config());
+    TenantRegistry reg(store);
+    for (const auto& s : two) reg.admit(s);
+    MultiTenantDriver driver(c, reg, machine_);
+    for (std::uint64_t e = 0; e < 2; ++e) {
+      const auto reports = driver.run_epoch(e);
+      if (c.rank() == 0) got.insert(got.end(), reports.begin(), reports.end());
+    }
+  });
+  const TenantEpochReport want[] = {
+      {0, "half", 0, 8, 128, 0x1.fa9659f831be2p-5, 0x1.02bc3a120e79dp+11,
+       0x1.020c9b0bc9cp-15, 0x1.569d49c026p-15, 307930, 7, 121, 20090, 121,
+       328020, 1, 121},
+      {1, "full-b", 0, 8, 256, 0x1.2e689f24a560fp-4, 0x1.b16d3d2faed93p+11,
+       0x1.5342566b8e6p-15, 0x1.5a72f220d36p-15, 635692, 10, 246, 26472, 246,
+       662164, 1, 246},
+      {0, "half", 1, 8, 128, 0x1.f95aa9098f994p-5, 0x1.035ddb5ee9b56p+11,
+       0x1.020c9b0bc98p-15, 0x1.569d49c026p-15, 307260, 10, 118, 20760, 118,
+       328020, 1, 118},
+      {1, "full-b", 1, 8, 256, 0x1.301e01f6d518ap-4, 0x1.aefde0cb09c63p+11,
+       0x1.020c9b0bc98p-15, 0x1.5aeda72ce9p-15, 623830, 13, 243, 38334, 243,
+       662164, 1, 243},
+  };
+  ASSERT_EQ(got.size(), std::size(want));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const TenantEpochReport& g = got[i];
+    const TenantEpochReport& w = want[i];
+    SCOPED_TRACE("report " + std::to_string(i));
+    EXPECT_EQ(g.tenant, w.tenant);
+    EXPECT_EQ(g.name, w.name);
+    EXPECT_EQ(g.epoch, w.epoch);
+    EXPECT_EQ(g.steps, w.steps);
+    EXPECT_EQ(g.global_samples, w.global_samples);
+    EXPECT_EQ(g.epoch_seconds, w.epoch_seconds);
+    EXPECT_EQ(g.throughput, w.throughput);
+    EXPECT_EQ(g.p50_fetch_s, w.p50_fetch_s);
+    EXPECT_EQ(g.p99_fetch_s, w.p99_fetch_s);
+    EXPECT_EQ(g.bytes_fetched, w.bytes_fetched);
+    EXPECT_EQ(g.cache_hits, w.cache_hits);
+    EXPECT_EQ(g.cache_misses, w.cache_misses);
+    EXPECT_EQ(g.cache_hit_bytes, w.cache_hit_bytes);
+    EXPECT_EQ(g.lock_epochs, w.lock_epochs);
+    EXPECT_EQ(g.served_bytes, w.served_bytes);
+    EXPECT_EQ(g.max_wait_grants, w.max_wait_grants);
+    EXPECT_EQ(g.arbiter_service, w.arbiter_service);
+  }
+}
 
 TEST_F(MultiTenantTest, ServedBytesMatchSoloRunOnBothEngines) {
   const auto specs = four_tenants();
