@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/metrics.hpp"
 #include "core/fetch/cache.hpp"
@@ -169,9 +168,6 @@ struct TenantScope {
   LatencyRecorder* latency = nullptr;
   CacheAttribution cache;        ///< installed into the SampleCache
   TransportGate* gate = nullptr; ///< QoS arbiter's transport-stage hook
-  /// Per-tenant override of DDStoreConfig::batch_fetch (a tenant may e.g.
-  /// run PerSample while the store default is Coalesced).
-  std::optional<BatchFetchMode> batch_fetch;
 };
 
 /// Everything a fetch stage may consult.  All pointers are non-owning and

@@ -204,13 +204,7 @@ std::vector<graph::GraphSample> FetchEngine::get_batch(
   if (ctx_.config->comm_mode == CommMode::TwoSided) {
     return get_batch_per_sample(ids);
   }
-  // A tenant scope may override the store-wide batch-fetch mode (e.g. one
-  // PerSample tenant beside Coalesced ones over the same engine).
-  const BatchFetchMode mode =
-      (ctx_.tenant != nullptr && ctx_.tenant->batch_fetch.has_value())
-          ? *ctx_.tenant->batch_fetch
-          : ctx_.config->batch_fetch;
-  switch (mode) {
+  switch (ctx_.config->batch_fetch) {
     case BatchFetchMode::PerSample:
       return get_batch_per_sample(ids);
     case BatchFetchMode::LockPerTarget:

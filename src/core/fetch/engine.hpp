@@ -68,10 +68,10 @@ class FetchEngine {
   /// Installs (or clears, with nullptr) the active tenant scope.  While
   /// set, the Verify/Account stage mirrors its global counter bumps into
   /// the scope's labeled counters, the shared cache charges the scope's
-  /// CacheAttribution, the transport consults the scope's TransportGate
-  /// before each lock epoch, and the scope's batch_fetch override applies.
-  /// Per-call state: the tenant layer swaps scopes around each tenant's
-  /// loads; never set in the single-tenant default.
+  /// CacheAttribution, and the transport consults the scope's
+  /// TransportGate before each lock epoch.  Per-call state: the tenant
+  /// layer swaps scopes around each tenant's loads; never set in the
+  /// single-tenant default.
   void set_tenant(TenantScope* scope) {
     ctx_.tenant = scope;
     cache_.set_consumer(scope != nullptr ? &scope->cache : nullptr);

@@ -6,23 +6,6 @@
 
 namespace dds::elastic {
 
-namespace {
-
-std::uint64_t delta_of(const MetricsRegistry& metrics,
-                       const std::vector<std::uint64_t>& now,
-                       const std::vector<std::uint64_t>& before,
-                       const std::string& name) {
-  const std::vector<std::string>& names = metrics.counter_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] != name) continue;
-    const std::uint64_t prev = i < before.size() ? before[i] : 0;
-    return now[i] - prev;
-  }
-  return 0;
-}
-
-}  // namespace
-
 ElasticDriver::ElasticDriver(core::DDStore& store, const ElasticConfig& config)
     : store_(store),
       config_(config),
@@ -30,7 +13,8 @@ ElasticDriver::ElasticDriver(core::DDStore& store, const ElasticConfig& config)
                   store.num_samples() * store.nominal_sample_bytes(),
                   WidthControllerConfig{config.memory_budget_per_rank,
                                         config.amortize_epochs,
-                                        config.step_tolerance}) {
+                                        config.step_tolerance}),
+      counters_(&store.metrics()) {
   DDS_CHECK_MSG(store_.config().elastic,
                 "ElasticDriver requires DDStoreConfig::elastic");
   trajectory_.push_back(store_.width());
@@ -38,7 +22,7 @@ ElasticDriver::ElasticDriver(core::DDStore& store, const ElasticConfig& config)
 }
 
 void ElasticDriver::snapshot() {
-  last_counters_ = store_.metrics().counter_values();
+  counters_.snapshot();
   const LatencyRecorder* lat = store_.metrics().find_latency("sample_load_s");
   last_latency_count_ = lat == nullptr ? 0 : lat->count();
 }
@@ -80,7 +64,7 @@ void ElasticDriver::recover_faults() {
 
 WidthObservation ElasticDriver::observe(double epoch_seconds) {
   const MetricsRegistry& metrics = store_.metrics();
-  const std::vector<std::uint64_t> now = metrics.counter_values();
+  counters_.local_delta();
 
   double fetch_seconds = 0.0;
   const LatencyRecorder* lat = metrics.find_latency("sample_load_s");
@@ -94,11 +78,9 @@ WidthObservation ElasticDriver::observe(double epoch_seconds) {
   // Cross-rank aggregation, untimed: the controller must see one global
   // observation, not this rank's slice.
   std::array<double, 4> sums = {
-      static_cast<double>(delta_of(metrics, now, last_counters_, "local_gets")),
-      static_cast<double>(
-          delta_of(metrics, now, last_counters_, "remote_gets")),
-      static_cast<double>(delta_of(metrics, now, last_counters_, "cache_hits")),
-      fetch_seconds};
+      static_cast<double>(counters_.metric("local_gets")),
+      static_cast<double>(counters_.metric("remote_gets")),
+      static_cast<double>(counters_.metric("cache_hits")), fetch_seconds};
   simmpi::Comm& comm = store_.comm();
   comm.allreduce_untimed(std::span<double>(sums), simmpi::Op::Sum);
 

@@ -8,9 +8,10 @@
 //      uniform virtual time, and rebuild each confirmed dead rank's chunk
 //      from a surviving twin (then revive the rank and reset its health
 //      everywhere) instead of serving degraded forever;
-//   2. observation — per-epoch counter and latency deltas are aggregated
-//      across ranks with untimed collectives into one WidthObservation
-//      every rank sees identically;
+//   2. observation — per-epoch counter deltas (core::EpochCounters,
+//      layout-checked) and latency sums are aggregated across ranks with
+//      untimed collectives into one WidthObservation every rank sees
+//      identically;
 //   3. width control — the AdaptiveWidthController weighs the modeled
 //      benefit of one divisor step down against the planned reshard's
 //      estimated cost, and the executor applies any decision.
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/ddstore.hpp"
+#include "core/epoch_counters.hpp"
 #include "elastic/controller.hpp"
 
 namespace dds::elastic {
@@ -73,7 +75,7 @@ class ElasticDriver {
   core::DDStore& store_;
   ElasticConfig config_;
   AdaptiveWidthController controller_;
-  std::vector<std::uint64_t> last_counters_;
+  core::EpochCounters counters_;  ///< this rank's delta since snapshot()
   std::size_t last_latency_count_ = 0;
   std::vector<int> trajectory_;
   const char* last_reason_ = "hold";

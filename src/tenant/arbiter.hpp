@@ -85,8 +85,6 @@ class QosArbiter {
   /// keeping registration, weights, and service totals.
   void begin_epoch();
 
-  const QosPolicy& policy() const { return policy_; }
-
  private:
   struct Tenant {
     double weight = 1.0;

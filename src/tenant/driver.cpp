@@ -1,7 +1,6 @@
 #include "tenant/driver.hpp"
 
-#include <algorithm>
-
+#include "core/epoch_counters.hpp"
 #include "graph/batch.hpp"
 
 namespace dds::tenant {
@@ -10,61 +9,64 @@ MultiTenantDriver::MultiTenantDriver(simmpi::Comm& comm,
                                      TenantRegistry& tenants,
                                      const model::MachineConfig& machine,
                                      DriverConfig config)
-    : comm_(comm),
-      tenants_(&tenants),
-      compute_(machine),
-      config_(config),
-      grad_bytes_(model::hydragnn_param_bytes(config.input_dim,
-                                              config.output_dim)),
-      arbiter_(config.policy) {
+    : comm_(comm), tenants_(&tenants), arbiter_(config.policy) {
   DDS_CHECK_MSG(tenants.size() > 0, "driver needs at least one tenant");
   gates_.reserve(tenants.size());
+  timelines_.reserve(tenants.size());
   for (std::size_t k = 0; k < tenants.size(); ++k) {
     TenantContext& t = tenants.at(static_cast<int>(k));
     // Arbiter inputs are rank-identical by construction: admission order,
     // spec weight, and NOMINAL step demand.  Never feed measured values in.
     arbiter_.add_tenant(t.spec().weight, t.step_demand_bytes());
     gates_.emplace_back(arbiter_, static_cast<int>(k));
-  }
-  for (std::size_t k = 0; k < tenants.size(); ++k) {
-    tenants.at(static_cast<int>(k)).scope().gate = &gates_[k];
+    t.scope().gate = &gates_.back();  // reserved: addresses stay stable
+    timelines_.emplace_back(comm_, machine, config.input_dim,
+                            config.output_dim);
   }
 }
 
 MultiTenantDriver::~MultiTenantDriver() {
   // Unwire the gates: scopes may outlive the driver.
   for (std::size_t k = 0; k < tenants_->size(); ++k) {
-    TenantContext& t = tenants_->at(static_cast<int>(k));
-    if (t.scope().gate != nullptr) t.scope().gate = nullptr;
+    tenants_->at(static_cast<int>(k)).scope().gate = nullptr;
   }
 }
 
-void MultiTenantDriver::align_cpu_clocks() {
-  auto& clock = comm_.clock();
-  clock.advance_to(comm_.allreduce_untimed(clock.now(), simmpi::Op::Max));
+template <typename StepFn>
+void MultiTenantDriver::interleave(const std::vector<std::uint64_t>& steps,
+                                   StepFn step) {
+  arbiter_.begin_epoch();
+  const std::size_t n = steps.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    arbiter_.set_runnable(static_cast<int>(k), steps[k] > 0);
+  }
+  // Every rank computes the identical grant sequence (arbiter determinism
+  // contract), so the collectives inside a step always pair up across
+  // ranks.
+  std::vector<std::uint64_t> cursor(n, 0);
+  while (arbiter_.any_runnable()) {
+    const int k = arbiter_.next();
+    std::uint64_t& sk = cursor[static_cast<std::size_t>(k)];
+    step(k, sk);
+    if (++sk >= steps[static_cast<std::size_t>(k)]) {
+      arbiter_.set_runnable(k, false);
+    }
+  }
 }
 
 std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     std::uint64_t epoch) {
   auto& clock = comm_.clock();
-  auto& net = comm_.runtime().network();
   const int n = static_cast<int>(tenants_->size());
 
   comm_.barrier();
   const double epoch_begin = clock.now();
+  for (train::StepTimeline& timeline : timelines_) timeline.begin_epoch();
+  // All tenants' labeled counters live in ONE shared registry, so one
+  // snapshot covers every tenant.
+  core::EpochCounters counters(&tenants_->store().metrics());
 
-  // Shared-registry snapshot: all tenants' labeled counters live in ONE
-  // registry, so one snapshot/diff covers every tenant (same mechanics as
-  // SimulatedTrainer's generic delta accounting).
-  const MetricsRegistry& registry = tenants_->store().metrics();
-  const std::vector<std::uint64_t> counters_at_start =
-      registry.counter_values();
-
-  arbiter_.begin_epoch();
   std::vector<std::uint64_t> steps(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint64_t> cursor(static_cast<std::size_t>(n), 0);
-  std::vector<double> gpu_free(static_cast<std::size_t>(n), epoch_begin);
-  std::vector<double> completion(static_cast<std::size_t>(n), epoch_begin);
   std::vector<std::uint64_t> service_at_start(static_cast<std::size_t>(n), 0);
   for (int k = 0; k < n; ++k) {
     TenantContext& t = tenants_->at(k);
@@ -72,74 +74,23 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     t.latencies() = LatencyRecorder{};
     steps[static_cast<std::size_t>(k)] = t.sampler().steps_per_epoch();
     service_at_start[static_cast<std::size_t>(k)] = arbiter_.service(k);
-    arbiter_.set_runnable(k, steps[static_cast<std::size_t>(k)] > 0);
   }
 
-  // Interleaved step loop.  Every rank computes the identical grant
-  // sequence (arbiter determinism contract), so the collectives inside a
-  // step always pair up across ranks.
-  while (arbiter_.any_runnable()) {
-    const int k = arbiter_.next();
-    std::uint64_t& sk = cursor[static_cast<std::size_t>(k)];
+  interleave(steps, [&](int k, std::uint64_t step) {
     TenantContext& t = tenants_->at(k);
-
-    // Cross-rank CPU re-alignment, as in the single-tenant trainer: the
-    // previous step's gradient all-reduce synchronized every rank.
-    align_cpu_clocks();
-
-    // ---- CPU: load + collate through the tenant's mounted backend ----
-    const auto ids = t.sampler().batch_ids(sk);
-    const auto samples = t.backend().load_batch(ids);
-    const auto batch = graph::GraphBatch::collate(samples);
-    const model::BatchShape shape{batch.num_graphs, batch.num_nodes,
-                                  batch.num_edges(), config_.output_dim};
-    const std::uint64_t nominal_batch_payload =
-        t.spec().local_batch * t.backend().nominal_sample_bytes();
-    clock.advance(compute_.batching_time(shape, nominal_batch_payload));
-    const double cpu_done = clock.now();
-
-    // ---- GPU: this tenant's own pipeline (jobs own their accelerators;
-    // they share the store, the serving CPU, and the network) ----
-    const double gpu_start =
-        std::max(gpu_free[static_cast<std::size_t>(k)], cpu_done);
-    const double fb = compute_.forward_backward_time(shape);
-    const double gpu_done = gpu_start + fb;
-
-    // ---- gradient all-reduce across this tenant's replicas ----
-    const double comm_end = net.allreduce_time(
-        comm_.size(), grad_bytes_,
-        comm_.allreduce_untimed(gpu_done, simmpi::Op::Max));
-    const double t_opt = compute_.optimizer_time(grad_bytes_);
-    gpu_free[static_cast<std::size_t>(k)] = comm_end + t_opt;
-    completion[static_cast<std::size_t>(k)] =
-        gpu_free[static_cast<std::size_t>(k)];
-
-    ++sk;
-    if (sk >= steps[static_cast<std::size_t>(k)]) {
-      arbiter_.set_runnable(k, false);
-    }
-  }
+    train::StepTimeline& timeline = timelines_[static_cast<std::size_t>(k)];
+    timeline.align_cpu();
+    // Load through the tenant's mounted backend; the rest of the step runs
+    // on the tenant's own GPU timeline.
+    const auto samples = t.backend().load_batch(t.sampler().batch_ids(step));
+    timeline.run(graph::GraphBatch::collate(samples),
+                 t.spec().local_batch * t.backend().nominal_sample_bytes());
+  });
   // The rank's epoch ends when every tenant's pipeline drains.
-  for (int k = 0; k < n; ++k) {
-    clock.advance_to(completion[static_cast<std::size_t>(k)]);
-  }
+  for (train::StepTimeline& timeline : timelines_) timeline.drain();
 
   // ---- reporting (untimed exchanges; must not perturb the time model) ----
-  std::vector<std::uint64_t> summed = registry.counter_values();
-  DDS_CHECK_MSG(summed.size() == counters_at_start.size(),
-                "metrics registered mid-epoch break delta accounting");
-  for (std::size_t i = 0; i < summed.size(); ++i) {
-    summed[i] -= counters_at_start[i];
-  }
-  comm_.allreduce_untimed(std::span<std::uint64_t>(summed), simmpi::Op::Sum);
-  const auto& names = registry.counter_names();
-  const auto summed_counter = [&](const std::string& name) -> std::uint64_t {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return summed[i];
-    }
-    return 0;
-  };
-
+  counters.reduce(comm_);
   std::vector<TenantEpochReport> reports(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
     TenantContext& t = tenants_->at(k);
@@ -153,10 +104,9 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
 
     // Wall time the tenant experienced: its last step's completion, maxed
     // across ranks (untimed exchange — the clock already drained).
-    r.epoch_seconds = comm_.allreduce_untimed(
-                          completion[static_cast<std::size_t>(k)],
-                          simmpi::Op::Max) -
-                      epoch_begin;
+    const double done = comm_.allreduce_untimed(
+        timelines_[static_cast<std::size_t>(k)].gpu_free(), simmpi::Op::Max);
+    r.epoch_seconds = done - epoch_begin;
     r.throughput = r.epoch_seconds > 0
                        ? static_cast<double>(r.global_samples) / r.epoch_seconds
                        : 0.0;
@@ -173,24 +123,20 @@ std::vector<TenantEpochReport> MultiTenantDriver::run_epoch(
     }
 
     const MetricLabel label{"tenant", t.spec().name};
-    r.bytes_fetched =
-        summed_counter(MetricsRegistry::labeled_name("bytes_fetched", label));
-    r.cache_hits =
-        summed_counter(MetricsRegistry::labeled_name("cache_hits", label));
-    r.cache_misses =
-        summed_counter(MetricsRegistry::labeled_name("cache_misses", label));
-    r.cache_hit_bytes = summed_counter(
-        MetricsRegistry::labeled_name("cache_hit_bytes", label));
-    r.lock_epochs =
-        summed_counter(MetricsRegistry::labeled_name("lock_epochs", label));
+    const auto labeled = [&](const char* family) {
+      return counters.metric(MetricsRegistry::labeled_name(family, label));
+    };
+    r.bytes_fetched = labeled("bytes_fetched");
+    r.cache_hits = labeled("cache_hits");
+    r.cache_misses = labeled("cache_misses");
+    r.cache_hit_bytes = labeled("cache_hit_bytes");
+    r.lock_epochs = labeled("lock_epochs");
     r.served_bytes = r.bytes_fetched + r.cache_hit_bytes;
     r.max_wait_grants = arbiter_.max_wait(k);
 
     r.arbiter_service = comm_.allreduce_untimed(
         arbiter_.service(k) - service_at_start[static_cast<std::size_t>(k)],
         simmpi::Op::Sum);
-
-    t.epochs_done = epoch + 1;
   }
   return reports;
 }
@@ -199,30 +145,20 @@ std::vector<train::TrainEpochResult> MultiTenantDriver::run_real_epoch(
     std::uint64_t epoch, const std::vector<train::RealTrainer*>& trainers) {
   DDS_CHECK_MSG(trainers.size() == tenants_->size(),
                 "one real trainer per tenant, in id order");
-  const int n = static_cast<int>(trainers.size());
   comm_.barrier();
-  arbiter_.begin_epoch();
-  std::vector<std::uint64_t> cursor(static_cast<std::size_t>(n), 0);
-  for (int k = 0; k < n; ++k) {
-    trainers[static_cast<std::size_t>(k)]->begin_epoch(epoch);
-    arbiter_.set_runnable(
-        k, trainers[static_cast<std::size_t>(k)]->train_steps() > 0);
+  std::vector<std::uint64_t> steps;
+  for (train::RealTrainer* trainer : trainers) {
+    trainer->begin_epoch(epoch);
+    steps.push_back(trainer->train_steps());
   }
-  // Same deterministic grant loop as the simulated path; only execution
-  // order interleaves, so each trainer's math is exactly its solo math.
-  while (arbiter_.any_runnable()) {
-    const int k = arbiter_.next();
-    train::RealTrainer& tr = *trainers[static_cast<std::size_t>(k)];
-    tr.train_step(cursor[static_cast<std::size_t>(k)]++);
-    if (cursor[static_cast<std::size_t>(k)] >= tr.train_steps()) {
-      arbiter_.set_runnable(k, false);
-    }
-  }
+  // Only execution order interleaves, so each trainer's math is exactly
+  // its solo math.
+  interleave(steps, [&](int k, std::uint64_t step) {
+    trainers[static_cast<std::size_t>(k)]->train_step(step);
+  });
   std::vector<train::TrainEpochResult> results;
-  results.reserve(trainers.size());
-  for (int k = 0; k < n; ++k) {
-    results.push_back(
-        trainers[static_cast<std::size_t>(k)]->finish_epoch(epoch));
+  for (train::RealTrainer* trainer : trainers) {
+    results.push_back(trainer->finish_epoch(epoch));
   }
   return results;
 }

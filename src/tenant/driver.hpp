@@ -3,27 +3,29 @@
 // Each rank steps every admitted tenant's workload as one interleaved
 // fiber timeline: the QosArbiter decides (identically on every rank —
 // see arbiter.hpp's determinism contract) which tenant's step is issued
-// next, the step's data loading runs through the tenant's mounted backend
-// (shared store + cache, per-tenant attribution), and each tenant's GPU
-// pipeline advances on its own timeline — tenant jobs own their
+// next, the step's batch loads through the tenant's mounted backend
+// (shared store + cache, per-tenant attribution), and the rest of the
+// step runs on the tenant's own train::StepTimeline — the trainer's step
+// model, with its phase charges and `train` spans.  Tenant jobs own their
 // accelerators; what they share is the store, the serving CPU, and the
 // network.
 //
 // Per-epoch, the driver reports per tenant: wall epoch seconds (what the
 // tenant experienced under sharing), throughput, p50/p99 fetch latency
-// (merged across ranks), labeled counter deltas (bytes, cache hits, lock
-// epochs), the arbiter's starvation metric, and measured transport
-// service.  bench_multitenant pins fairness gates on these.
+// (merged across ranks), labeled counter deltas from one
+// core::EpochCounters (bytes, cache hits, lock epochs), the arbiter's
+// starvation metric, and measured transport service.  bench_multitenant
+// pins fairness gates on these.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "model/compute.hpp"
 #include "tenant/arbiter.hpp"
 #include "tenant/tenant.hpp"
 #include "train/real_trainer.hpp"
+#include "train/sim_trainer.hpp"
 
 namespace dds::tenant {
 
@@ -81,8 +83,6 @@ class MultiTenantDriver {
   std::vector<train::TrainEpochResult> run_real_epoch(
       std::uint64_t epoch, const std::vector<train::RealTrainer*>& trainers);
 
-  QosArbiter& arbiter() { return arbiter_; }
-
  private:
   /// TransportGate adapter: charges measured lock epochs to the arbiter's
   /// per-tenant service counter (observability only).
@@ -99,15 +99,17 @@ class MultiTenantDriver {
     int tenant_;
   };
 
-  void align_cpu_clocks();
+  /// The one grant loop: the arbiter picks tenant k and `step(k, s)` runs
+  /// its step s, until every tenant k has run steps[k] steps.
+  template <typename StepFn>
+  void interleave(const std::vector<std::uint64_t>& steps, StepFn step);
 
   simmpi::Comm comm_;
   TenantRegistry* tenants_;
-  model::ComputeModel compute_;
-  DriverConfig config_;
-  std::uint64_t grad_bytes_;
   QosArbiter arbiter_;
   std::vector<GateAdapter> gates_;  ///< one per tenant, wired into scopes
+  /// One per tenant: each job steps its own GPU timeline.
+  std::vector<train::StepTimeline> timelines_;
 };
 
 }  // namespace dds::tenant

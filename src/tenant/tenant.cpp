@@ -6,8 +6,8 @@ namespace {
 
 /// The tenant's DataBackend view of the shared store: translates mounted
 /// ids by mount_first and installs the tenant's scope around every load,
-/// so ANY trainer driving this backend gets per-tenant attribution (and
-/// the tenant's batch-fetch override) transparently.
+/// so ANY trainer driving this backend gets per-tenant attribution
+/// transparently.
 class MountedBackend final : public train::DataBackend {
  public:
   MountedBackend(core::DDStore& store, TenantContext& owner)
@@ -73,7 +73,6 @@ TenantContext::TenantContext(Passkey, int id, TenantSpec spec,
   scope_.cache.misses = &metrics.counter("cache_misses", label);
   scope_.cache.hit_bytes = &metrics.counter("cache_hit_bytes", label);
   scope_.latency = &latency_;
-  scope_.batch_fetch = spec_.batch_fetch;
   backend_ = std::make_unique<MountedBackend>(store, *this);
 }
 

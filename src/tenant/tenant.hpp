@@ -7,9 +7,8 @@
 // shared store.  The tenant layer adds exactly the state that must be
 // per-job and shares everything else:
 //
-//   per-tenant:  sampler + epoch/step cursors, dataset mount (an id range
-//                of the shared store), config overrides (batch size,
-//                batch-fetch mode), labeled metrics + fetch-latency
+//   per-tenant:  sampler, dataset mount (an id range of the shared
+//                store), batch size, labeled metrics + fetch-latency
 //                recorder, QoS weight
 //   shared:      windows, replica groups, tiered store, SampleCache — one
 //                instance each, so aggregate memory footprint does NOT
@@ -25,7 +24,6 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/ddstore.hpp"
@@ -49,9 +47,6 @@ struct TenantSpec {
   std::uint64_t local_batch = 32;  ///< per-rank batch size
   std::uint64_t seed = 1;          ///< shuffle seed (per-tenant stream)
   double weight = 1.0;             ///< QoS share (relative, > 0)
-
-  /// Per-tenant override of the store-wide DDStoreConfig::batch_fetch.
-  std::optional<core::BatchFetchMode> batch_fetch;
 };
 
 /// Admission limits enforced by TenantRegistry::admit.
@@ -108,11 +103,6 @@ class TenantContext {
     return spec_.local_batch * store_->nominal_sample_bytes();
   }
 
-  core::DDStore& store() { return *store_; }
-
-  /// Epoch cursor: epochs this tenant has completed (driver-maintained).
-  std::uint64_t epochs_done = 0;
-
  private:
   int id_;
   TenantSpec spec_;
@@ -166,7 +156,6 @@ class TenantRegistry {
   }
 
   core::DDStore& store() { return *store_; }
-  const AdmissionConfig& admission() const { return admission_; }
 
   /// Summed nominal per-step demand over admitted tenants.
   std::uint64_t admitted_step_demand_bytes() const;

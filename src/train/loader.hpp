@@ -56,7 +56,6 @@ class DataLoader {
 
   std::uint64_t steps_per_epoch() const { return sampler_->steps_per_epoch(); }
   const LatencyRecorder& latencies() const { return latencies_; }
-  void reset_latencies() { latencies_ = LatencyRecorder{}; }
 
  private:
   DataBackend* backend_;
@@ -154,7 +153,6 @@ class PrefetchingLoader {
   /// Cumulative fetch seconds hidden under compute windows.
   double overlap_hidden_seconds() const { return hidden_; }
   const LatencyRecorder& latencies() const { return latencies_; }
-  void reset_latencies() { latencies_ = LatencyRecorder{}; }
   const PrefetchConfig& config() const { return config_; }
 
  private:

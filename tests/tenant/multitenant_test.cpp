@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <iterator>
 #include <string>
 
+#include "common/tracing/tracer.hpp"
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
@@ -166,7 +168,7 @@ TEST_F(MultiTenantTest, TwoTenantReportsArePinnedBitExactly) {
   }
 }
 
-TEST_F(MultiTenantTest, ServedBytesMatchSoloRunOnBothEngines) {
+TEST_F(MultiTenantTest, ServedBytesMatchSoloRun) {
   const auto specs = four_tenants();
   const auto shared = run_driver(specs, 2);
   ASSERT_EQ(shared.size(), specs.size());
@@ -180,6 +182,57 @@ TEST_F(MultiTenantTest, ServedBytesMatchSoloRunOnBothEngines) {
         << "tenant " << specs[k].name;
     EXPECT_EQ(shared[k].global_samples, solo[0].global_samples);
     EXPECT_GT(shared[k].served_bytes, 0u);
+  }
+}
+
+TEST_F(MultiTenantTest, TenantStepsRecordGpuPhaseSpans) {
+  // Tenants run the trainer's step model, so their steps show up in the
+  // trace like the trainer's: per rank, forward -> backward ->
+  // allreduce_grad -> optimizer for every step of every tenant.
+  const char* const kGpuPhases[] = {"forward", "backward", "allreduce_grad",
+                                    "optimizer"};
+  const auto specs = four_tenants();
+  for (const std::size_t tenants : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(tenants) + " tenants");
+    simmpi::Runtime rt(kRanks, machine_, /*seed=*/42);
+    rt.enable_tracing(/*capacity_per_rank=*/1u << 14);
+    const auto reader = cff_reader();
+    std::uint64_t steps = 0;  // summed over tenants
+    rt.run([&](simmpi::Comm& c) {
+      auto client = client_for(c);
+      core::DDStore store(c, reader, client, store_config());
+      TenantRegistry reg(store);
+      for (std::size_t k = 0; k < tenants; ++k) reg.admit(specs[k]);
+      MultiTenantDriver driver(c, reg, machine_);
+      const auto reports = driver.run_epoch(0);
+      if (c.rank() != 0) return;
+      for (const auto& r : reports) steps += r.steps;
+    });
+    ASSERT_GT(steps, 1u);
+    for (const auto* tr : rt.traces()) {
+      ASSERT_EQ(tr->dropped(), 0u);
+      std::vector<tracing::Event> gpu;
+      for (const auto& e : tr->snapshot()) {
+        if (e.category != tracing::Category::Train) continue;
+        for (const char* phase : kGpuPhases) {
+          if (std::strcmp(e.name, phase) == 0) gpu.push_back(e);
+        }
+      }
+      ASSERT_EQ(gpu.size(), 4 * steps) << "rank " << tr->rank();
+      for (std::size_t i = 0; i < gpu.size(); ++i) {
+        EXPECT_STREQ(gpu[i].name, kGpuPhases[i % 4]);
+        EXPECT_LE(gpu[i].t0, gpu[i].t1);
+        if (i % 4 == 3) {
+          EXPECT_EQ(gpu[i].t0, gpu[i - 1].t1);
+        }
+        // One tenant's spans tile its GPU timeline.  Two tenants own two
+        // GPUs, whose timelines may overlap each other.
+        if (tenants == 1 && i > 0) {
+          EXPECT_LE(gpu[i - 1].t1, gpu[i].t0)
+              << "rank " << tr->rank() << " span " << i << " overlaps";
+        }
+      }
+    }
   }
 }
 
