@@ -95,15 +95,18 @@ void elastic_recovery_cell(StagedData& data,
       }
       c.barrier();
       if (driver) driver->on_epoch_end(c.clock().now() - t0);
-      const auto s = store.stats();
-      const std::uint64_t mine =
-          s.retries + s.failovers + s.degraded_reads - prev;
-      prev = s.retries + s.failovers + s.degraded_reads;
+      const MetricsRegistry& m = store.metrics();
+      const std::uint64_t traffic = m.counter_value("retries") +
+                                    m.counter_value("failovers") +
+                                    m.counter_value("degraded_reads");
+      const std::uint64_t mine = traffic - prev;
+      prev = traffic;
       std::uint64_t total = 0;
       for (const std::uint64_t v : c.allgather_untimed(mine)) total += v;
       if (c.rank() == 0) fault_traffic.push_back(total);
     }
-    std::uint64_t my_rebuilds = store.stats().rank_rebuilds;
+    std::uint64_t my_rebuilds =
+        store.metrics().counter_value("rank_rebuilds");
     std::uint64_t all_rebuilds = 0;
     for (const std::uint64_t v : c.allgather_untimed(my_rebuilds)) {
       all_rebuilds += v;

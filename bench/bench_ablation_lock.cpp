@@ -53,14 +53,15 @@ void sweep(StagedData& data, const model::MachineConfig& machine, int nranks,
     store.fence();
 
     if (comm.rank() == 0) {
-      const auto& st = store.stats();
+      const MetricsRegistry& m = store.metrics();
+      const LatencyRecorder& latency = *m.find_latency("sample_load_s");
       print_row({mode_name(mode),
                  placement == core::Placement::Block ? "block" : "round-robin",
-                 fmt(st.latency.percentile(50) * 1e3, 3) + " ms",
-                 fmt(st.latency.percentile(99) * 1e3, 3) + " ms",
-                 fmt(st.latency.mean() * 1e3, 3) + " ms",
-                 std::to_string(st.lock_epochs),
-                 std::to_string(st.rma_transfers)});
+                 fmt(latency.percentile(50) * 1e3, 3) + " ms",
+                 fmt(latency.percentile(99) * 1e3, 3) + " ms",
+                 fmt(latency.mean() * 1e3, 3) + " ms",
+                 std::to_string(m.counter_value("lock_epochs")),
+                 std::to_string(m.counter_value("rma_transfers"))});
     }
     comm.barrier();
   });

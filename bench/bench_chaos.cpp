@@ -124,14 +124,14 @@ ChaosRun run_scenario(StagedData& data, const model::MachineConfig& machine,
       for (const std::uint64_t v : c.allgather_untimed(mine)) total += v;
       return total;
     };
-    const auto s = store.stats();
-    const std::uint64_t hedged = sum(s.hedged_fetches);
-    const std::uint64_t wins = sum(s.hedge_wins);
-    const std::uint64_t mismatches = sum(s.hedge_mismatches);
-    const std::uint64_t degraded = sum(s.degraded_reads);
-    const std::uint64_t checksums = sum(s.checksum_failures);
-    const std::uint64_t rebuilds = sum(s.rank_rebuilds);
-    const std::uint64_t steers = sum(s.quarantine_steers);
+    const MetricsRegistry& m = store.metrics();
+    const std::uint64_t hedged = sum(m.counter_value("hedged_fetches"));
+    const std::uint64_t wins = sum(m.counter_value("hedge_wins"));
+    const std::uint64_t mismatches = sum(m.counter_value("hedge_mismatches"));
+    const std::uint64_t degraded = sum(m.counter_value("degraded_reads"));
+    const std::uint64_t checksums = sum(m.counter_value("checksum_failures"));
+    const std::uint64_t rebuilds = sum(m.counter_value("rank_rebuilds"));
+    const std::uint64_t steers = sum(m.counter_value("quarantine_steers"));
     const std::vector<double> all_lats =
         c.allgatherv_untimed(std::span<const double>(lats));
     if (c.rank() == 0) {

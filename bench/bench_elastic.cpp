@@ -178,15 +178,17 @@ int main(int argc, char** argv) {
             drain_epoch(store, sampler, c, static_cast<std::uint64_t>(e));
         driver.on_epoch_end(elapsed);
         if (c.rank() == 0 && std::getenv("DDS_ELASTIC_DEBUG")) {
-          const auto s = store.stats();
-          std::fprintf(stderr,
-                       "epoch %d: reason=%s width=%d local=%llu remote=%llu "
-                       "lat_n=%llu elapsed=%f\n",
-                       e, driver.last_reason(), store.width(),
-                       static_cast<unsigned long long>(s.local_gets),
-                       static_cast<unsigned long long>(s.remote_gets),
-                       static_cast<unsigned long long>(s.latency.count()),
-                       elapsed);
+          const MetricsRegistry& m = store.metrics();
+          std::fprintf(
+              stderr,
+              "epoch %d: reason=%s width=%d local=%llu remote=%llu "
+              "lat_n=%llu elapsed=%f\n",
+              e, driver.last_reason(), store.width(),
+              static_cast<unsigned long long>(m.counter_value("local_gets")),
+              static_cast<unsigned long long>(m.counter_value("remote_gets")),
+              static_cast<unsigned long long>(
+                  m.find_latency("sample_load_s")->count()),
+              elapsed);
         }
       }
       if (c.rank() == 0) {
@@ -195,7 +197,7 @@ int main(int argc, char** argv) {
         dataset_bytes_nominal = dataset_bytes;
         final_width = store.width();
         converged = driver.controller().converged();
-        reshard_count = store.stats().reshards;
+        reshard_count = store.metrics().counter_value("reshards");
       }
       store.fence();
     });

@@ -43,10 +43,10 @@ void run_machine(const model::MachineConfig& machine, int nodes) {
     Scenario run = sc;
     run.ddstore.width = width;
     const auto result = run_training(data, run, BackendKind::DDStore);
-    const auto& st = result.ddstore_stats;
+    const std::uint64_t local = result.store_counter("local_gets");
     const double local_pct =
-        100.0 * static_cast<double>(st.local_gets) /
-        static_cast<double>(st.local_gets + st.remote_gets);
+        100.0 * static_cast<double>(local) /
+        static_cast<double>(local + result.store_counter("remote_gets"));
     const double tput = result.mean_throughput();
     if (base == 0) base = tput;
     print_row({std::to_string(width), std::to_string(nranks / width),

@@ -34,7 +34,9 @@ int main() {
   StagedData data(machine, sc.kind, sc.num_samples, kRanks,
                   /*with_pff=*/false);
 
-  core::DDStoreStats store_stats;
+  // Rank 0's fetch split, read from its store's registry.
+  std::uint64_t remote_gets = 0;
+  std::uint64_t local_gets = 0;
 
   simmpi::Runtime rt(kRanks, machine, sc.seed);
   // ~1.5k events per rank for this configuration; 8k slots leave headroom
@@ -61,7 +63,10 @@ int main() {
     train::SimulatedTrainer trainer(comm, backend, sampler, machine, cfg);
     trainer.run_epoch(0);
 
-    if (comm.rank() == 0) store_stats = store.stats();
+    if (comm.rank() == 0) {
+      remote_gets = store.metrics().counter_value("remote_gets");
+      local_gets = store.metrics().counter_value("local_gets");
+    }
     comm.barrier();
   });
 
@@ -140,9 +145,8 @@ int main() {
   std::printf("MPI RMA share:      %.1f%%  (paper: ~35%%)\n",
               100.0 * rma / total);
   std::printf("(remote fetches rank 0: %llu of %llu)\n",
-              static_cast<unsigned long long>(store_stats.remote_gets),
-              static_cast<unsigned long long>(store_stats.remote_gets +
-                                              store_stats.local_gets));
+              static_cast<unsigned long long>(remote_gets),
+              static_cast<unsigned long long>(remote_gets + local_gets));
   std::printf("\n# span-level rollup (all ranks, steady-state epoch)\n%s",
               tracing::summary_table(span_rows).c_str());
   return 0;

@@ -52,19 +52,21 @@ Cell run_cell(StagedData& data, const Scenario& base, int width,
   return cell;
 }
 
-void print_cell(const Cell& cell, double shuffle_remote,
-                double shuffle_seconds) {
-  const auto& st = cell.result.ddstore_stats;
-  const double gets =
-      static_cast<double>(st.local_gets + st.remote_gets);
-  const double remote = static_cast<double>(st.remote_gets);
+void print_cell(const Cell& cell, double shuffle_remote) {
+  const std::uint64_t remote_gets = cell.result.store_counter("remote_gets");
+  const double gets = static_cast<double>(
+      cell.result.store_counter("local_gets") + remote_gets);
+  const double remote = static_cast<double>(remote_gets);
   const double cut =
       shuffle_remote > 0 ? 1.0 - remote / shuffle_remote : 0.0;
   double seconds = 0;
   for (const auto& e : cell.result.epochs) seconds += e.epoch_seconds;
   print_row({std::to_string(cell.width), std::to_string(cell.batch),
-             mode_name(cell.mode), std::to_string(st.remote_gets),
-             fmt(static_cast<double>(st.nominal_bytes_fetched) / 1e9, 3),
+             mode_name(cell.mode), std::to_string(remote_gets),
+             fmt(static_cast<double>(
+                     cell.result.store_counter("nominal_bytes_fetched")) /
+                     1e9,
+                 3),
              fmt(gets > 0 ? 100.0 * remote / gets : 0.0, 1),
              fmt(seconds, 4), fmt(100.0 * cut, 1)});
 }
@@ -186,18 +188,15 @@ int main(int argc, char** argv) {
       const Cell shuffle =
           run_cell(data, sc, width, batch, core::LocalityMode::Shuffle);
       const auto shuffle_remote =
-          static_cast<double>(shuffle.result.ddstore_stats.remote_gets);
-      double shuffle_seconds = 0;
-      for (const auto& e : shuffle.result.epochs) {
-        shuffle_seconds += e.epoch_seconds;
-      }
-      print_cell(shuffle, shuffle_remote, shuffle_seconds);
+          static_cast<double>(shuffle.result.store_counter("remote_gets"));
+      print_cell(shuffle, shuffle_remote);
       const Cell greedy =
           run_cell(data, sc, width, batch, core::LocalityMode::OwnerGreedy);
-      print_cell(greedy, shuffle_remote, shuffle_seconds);
+      print_cell(greedy, shuffle_remote);
 
       const double cut =
-          1.0 - static_cast<double>(greedy.result.ddstore_stats.remote_gets) /
+          1.0 - static_cast<double>(
+                    greedy.result.store_counter("remote_gets")) /
                     shuffle_remote;
       const double required =
           0.5 * static_cast<double>(width - 1) / static_cast<double>(width);

@@ -58,10 +58,11 @@ struct Cell {
 };
 
 /// One fetch-drain epoch through the Coalesced batch planner.  Returns the
-/// epoch's virtual seconds (max over ranks) and rank-0's stats snapshot.
+/// epoch's virtual seconds (max over ranks) and, when `cell` is set, fills
+/// its staging counters from rank 0's registry.
 double drain_epoch(StagedData& data, const model::MachineConfig& machine,
                    int nranks, int width, std::uint64_t samples,
-                   double hot_fraction, int depth, core::DDStoreStats* stats) {
+                   double hot_fraction, int depth, Cell* cell) {
   data.fs().reset_time_state();
   double epoch_s = 0;
   simmpi::Runtime rt(nranks, machine, /*seed=*/42);
@@ -89,7 +90,12 @@ double drain_epoch(StagedData& data, const model::MachineConfig& machine,
     }
     if (c.rank() == 0) {
       epoch_s = elapsed;
-      if (stats != nullptr) *stats = store.stats();
+      if (cell != nullptr) {
+        const MetricsRegistry& m = store.metrics();
+        cell->cold_misses = m.counter_value("cold_misses");
+        cell->staged_hits = m.counter_value("staged_hits");
+        cell->backpressure = m.counter_value("stage_backpressure_delays");
+      }
     }
     store.fence();
   });
@@ -169,13 +175,9 @@ int main(int argc, char** argv) {
           cell.samples = samples;
           cell.hot_fraction = hf;
           cell.depth = depth;
-          core::DDStoreStats st;
           cell.epoch_s = drain_epoch(data, machine, nranks, width, samples,
-                                     hf, depth, &st);
+                                     hf, depth, &cell);
           cell.inflation = cell.epoch_s / base.epoch_s;
-          cell.cold_misses = st.cold_misses;
-          cell.staged_hits = st.staged_hits;
-          cell.backpressure = st.stage_backpressure_delays;
           print_cell(cell, false);
           if (smoke) {
             // Acceptance: a full epoch completed (every step drained), the

@@ -79,15 +79,6 @@ double RunResult::mean_throughput() const {
   return s / static_cast<double>(epochs.size());
 }
 
-train::PhaseProfile RunResult::mean_profile() const {
-  DDS_CHECK(!epochs.empty());
-  train::PhaseProfile p;
-  for (const auto& e : epochs) p.merge(e.mean_profile);
-  // merge() sums; divide by epoch count via a diff trick is unavailable,
-  // so scale by adding nothing — callers treat this as a per-run total.
-  return p;
-}
-
 std::vector<train::EpochReport::MetricSample> RunResult::summed_metrics()
     const {
   std::vector<train::EpochReport::MetricSample> out;
@@ -109,6 +100,13 @@ std::uint64_t RunResult::metric(const std::string& name) const {
   std::uint64_t sum = 0;
   for (const auto& e : epochs) sum += e.metric(name);
   return sum;
+}
+
+std::uint64_t RunResult::store_counter(const std::string& name) const {
+  for (const auto& m : ddstore_stats) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
 }
 
 std::string metrics_json_fields(
@@ -206,7 +204,15 @@ RunResult run_training(StagedData& data, const Scenario& scenario,
       result.epochs = std::move(reports);
       result.latencies = all_latencies;
       result.preload_seconds = preload;
-      if (store) result.ddstore_stats = store->stats();
+      if (store) {
+        const MetricsRegistry& m = store->metrics();
+        const std::vector<std::uint64_t> values = m.counter_values();
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          result.ddstore_stats.push_back(
+              train::EpochReport::MetricSample{m.counter_names()[i],
+                                               values[i]});
+        }
+      }
     }
     comm.barrier();  // nobody tears down while peers still read
   });

@@ -93,17 +93,19 @@ struct RunResult {
   std::vector<train::EpochReport> epochs;
   LatencyRecorder latencies;   ///< per-sample load latency, all ranks
   double preload_seconds = 0;  ///< DDStore only
-  core::DDStoreStats ddstore_stats;  ///< DDStore only (rank-0 snapshot)
+  /// DDStore only: rank 0's store counters at the end of the run (since
+  /// the post-setup reset), in registry order.
+  std::vector<train::EpochReport::MetricSample> ddstore_stats;
 
   /// Mean throughput over measured epochs (drops none).
   double mean_throughput() const;
-  /// Mean per-rank phase profile over epochs.
-  train::PhaseProfile mean_profile() const;
   /// Every backend metric summed over the run's epochs (already summed
   /// across ranks per epoch), in registry order.  Empty for file backends.
   std::vector<train::EpochReport::MetricSample> summed_metrics() const;
   /// One named metric summed over the run's epochs (0 if never registered).
   std::uint64_t metric(const std::string& name) const;
+  /// One named counter of ddstore_stats (0 if never registered).
+  std::uint64_t store_counter(const std::string& name) const;
 };
 
 /// Serializes metric samples as JSON object fields: `"name": value, ...`

@@ -62,8 +62,10 @@ int main() {
     if (world.rank() == 0) {
       std::printf("# fetches: %llu local / %llu remote; preload %.2f s "
                   "(simulated)\n",
-                  static_cast<unsigned long long>(store.stats().local_gets),
-                  static_cast<unsigned long long>(store.stats().remote_gets),
+                  static_cast<unsigned long long>(
+                      store.metrics().counter_value("local_gets")),
+                  static_cast<unsigned long long>(
+                      store.metrics().counter_value("remote_gets")),
                   store.stats().preload_seconds);
     }
   });

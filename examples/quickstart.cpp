@@ -93,18 +93,24 @@ int main() {
     }
 
     // --- 5. stats ----------------------------------------------------------
-    // stats() is a view over the store's MetricsRegistry; cache_hit_rate()
-    // summarizes the Cache stage (epoch 1 re-hits whatever epoch 0 left
-    // resident in the 64 MiB LRU).
-    const auto& st = store.stats();
+    // Every fetch counter and the per-sample latency live in the store's
+    // MetricsRegistry, read by name.  The cache hit rate summarizes the
+    // Cache stage (epoch 1 re-hits whatever epoch 0 left resident in the
+    // 64 MiB LRU).
+    const MetricsRegistry& m = store.metrics();
     if (world.rank() < 2) {  // keep the output short
+      const std::uint64_t hits = m.counter_value("cache_hits");
+      const std::uint64_t lookups = hits + m.counter_value("cache_misses");
       std::printf(
           "rank %d (group %d of %d): %llu local + %llu remote fetches, "
           "cache hit rate %.1f%%, median fetch %.0f us\n",
           world.rank(), store.replica_index(), store.num_replicas(),
-          static_cast<unsigned long long>(st.local_gets),
-          static_cast<unsigned long long>(st.remote_gets),
-          100.0 * st.cache_hit_rate(), st.latency.median() * 1e6);
+          static_cast<unsigned long long>(m.counter_value("local_gets")),
+          static_cast<unsigned long long>(m.counter_value("remote_gets")),
+          lookups == 0 ? 0.0
+                       : 100.0 * (static_cast<double>(hits) /
+                                  static_cast<double>(lookups)),
+          m.find_latency("sample_load_s")->median() * 1e6);
     }
     store.fence();
   });

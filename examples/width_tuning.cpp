@@ -67,15 +67,22 @@ int main() {
       store.fence();
 
       if (world.rank() == 0) {
-        const auto& st = store.stats();
+        const MetricsRegistry& m = store.metrics();
+        const std::uint64_t local = m.counter_value("local_gets");
         const double local_pct =
-            100.0 * static_cast<double>(st.local_gets) /
-            static_cast<double>(st.local_gets + st.remote_gets);
+            100.0 * static_cast<double>(local) /
+            static_cast<double>(local + m.counter_value("remote_gets"));
+        const std::uint64_t hits = m.counter_value("cache_hits");
+        const std::uint64_t lookups = hits + m.counter_value("cache_misses");
+        const double hit_pct = lookups == 0
+                                   ? 0.0
+                                   : 100.0 * (static_cast<double>(hits) /
+                                              static_cast<double>(lookups));
+        const LatencyRecorder& latency = *m.find_latency("sample_load_s");
         std::printf("%5d, %8d, %5.1f, %9.1f, %s, %s, %s\n", width,
-                    store.num_replicas(), local_pct,
-                    100.0 * st.cache_hit_rate(),
-                    format_seconds(st.latency.percentile(50)).c_str(),
-                    format_seconds(st.latency.percentile(99)).c_str(),
+                    store.num_replicas(), local_pct, hit_pct,
+                    format_seconds(latency.percentile(50)).c_str(),
+                    format_seconds(latency.percentile(99)).c_str(),
                     format_bytes(full_bytes / width).c_str());
       }
     });

@@ -1,24 +1,19 @@
-// MetricsRegistry: named counters, gauges, and latency recorders with a
-// stable registration order.
+// MetricsRegistry: named counters and latency recorders with a stable
+// registration order.
 //
-// DDStore's fetch stages used to hand-plumb a dozen counter fields through
-// one struct; every new stage meant touching the struct, the reset logic,
-// the epoch-delta diffing in the trainer, and every bench's JSON printer.
-// The registry replaces that with one seam: a stage registers the metrics
-// it owns by name, holds cheap references to them, and everything
-// downstream (DDStoreStats views, EpochReport deltas, bench JSON) iterates
-// the registry generically.
+// A fetch stage registers the metrics it owns by name and holds cheap
+// references to them; everything downstream (DDStore::metrics() readers,
+// EpochReport deltas, bench JSON) reads the registry by name or iterates
+// it generically.  It is the one place the store's counters live.
 //
 // Contracts the rest of the system relies on:
-//  * References returned by counter()/gauge()/latency() stay valid for the
+//  * References returned by counter()/latency() stay valid for the
 //    registry's lifetime (entries live in deques; registration never moves
 //    them).
 //  * Iteration order is registration order.  Ranks that construct the same
 //    stages in the same order therefore have identical layouts, which lets
 //    the trainer sum per-rank counter snapshots elementwise.
-//  * reset() zeroes every entry except those registered with
-//    preserve_on_reset (construction-time facts such as preload cost must
-//    survive epoch-boundary resets).
+//  * reset() zeroes every entry and keeps the layout.
 //
 // Not thread-safe: each simulated rank owns its own registry, exactly as
 // each rank owns its own DDStore.
@@ -31,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/stats.hpp"
 
 namespace dds {
@@ -67,37 +61,17 @@ class MetricsRegistry {
     std::uint64_t value_ = 0;
   };
 
-  /// Last-written scalar (e.g. a construction-time duration).
-  class Gauge {
-   public:
-    void set(double value) { value_ = value; }
-    double value() const { return value_; }
-
-   private:
-    friend class MetricsRegistry;
-    double value_ = 0.0;
-  };
-
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers (or re-opens) the named counter.  Re-opening must agree on
-  /// the preserve flag — two stages disagreeing about reset semantics for
-  /// one metric is a bug, not a merge.
-  Counter& counter(const std::string& name, bool preserve_on_reset = false) {
+  /// Registers (or re-opens) the named counter.
+  Counter& counter(const std::string& name) {
     const auto it = counter_index_.find(name);
-    if (it != counter_index_.end()) {
-      CounterEntry& entry = counters_[it->second];
-      DDS_CHECK_MSG(entry.preserve_on_reset == preserve_on_reset,
-                    "counter '" + name +
-                        "' re-registered with a different preserve flag");
-      return entry.counter;
-    }
+    if (it != counter_index_.end()) return counters_[it->second];
     counter_index_.emplace(name, counters_.size());
-    counters_.push_back(CounterEntry{name, preserve_on_reset, Counter{}});
     counter_names_.push_back(name);
-    return counters_.back().counter;
+    return counters_.emplace_back();
   }
 
   /// Canonical decorated name of a labeled family member:
@@ -115,10 +89,9 @@ class MetricsRegistry {
   /// default counter layout byte-for-byte.  Labeled members are ordinary
   /// registry entries: EpochReport deltas, elementwise cross-rank sums,
   /// and bench JSON all pick them up generically.
-  Counter& counter(const std::string& family, const MetricLabel& label,
-                   bool preserve_on_reset = false) {
-    if (label.empty()) return counter(family, preserve_on_reset);
-    return counter(labeled_name(family, label), preserve_on_reset);
+  Counter& counter(const std::string& family, const MetricLabel& label) {
+    if (label.empty()) return counter(family);
+    return counter(labeled_name(family, label));
   }
 
   /// All registered members of a family, in registration order, as
@@ -132,13 +105,13 @@ class MetricsRegistry {
     for (std::size_t i = 0; i < counter_names_.size(); ++i) {
       const std::string& name = counter_names_[i];
       if (name == family) {
-        out.emplace_back("", counters_[i].counter.value());
+        out.emplace_back("", counters_[i].value());
       } else if (name.size() > prefix.size() + 1 &&
                  name.compare(0, prefix.size(), prefix) == 0 &&
                  name.back() == '}') {
         out.emplace_back(
             name.substr(prefix.size(), name.size() - prefix.size() - 1),
-            counters_[i].counter.value());
+            counters_[i].value());
       }
     }
     return out;
@@ -151,51 +124,30 @@ class MetricsRegistry {
     return total;
   }
 
-  Gauge& gauge(const std::string& name, bool preserve_on_reset = false) {
-    const auto it = gauge_index_.find(name);
-    if (it != gauge_index_.end()) {
-      GaugeEntry& entry = gauges_[it->second];
-      DDS_CHECK_MSG(entry.preserve_on_reset == preserve_on_reset,
-                    "gauge '" + name +
-                        "' re-registered with a different preserve flag");
-      return entry.gauge;
-    }
-    gauge_index_.emplace(name, gauges_.size());
-    gauges_.push_back(GaugeEntry{name, preserve_on_reset, Gauge{}});
-    return gauges_.back().gauge;
-  }
-
   LatencyRecorder& latency(const std::string& name) {
     const auto it = latency_index_.find(name);
-    if (it != latency_index_.end()) return latencies_[it->second].recorder;
+    if (it != latency_index_.end()) return latencies_[it->second];
     latency_index_.emplace(name, latencies_.size());
-    latencies_.push_back(LatencyEntry{name, LatencyRecorder{}});
-    return latencies_.back().recorder;
+    return latencies_.emplace_back();
   }
 
-  // ---- read-side (views, epoch deltas, JSON serialization) --------------
+  // ---- read-side (by-name reads, epoch deltas, JSON serialization) ------
 
   bool has_counter(const std::string& name) const {
     return counter_index_.find(name) != counter_index_.end();
   }
 
   /// Value of a registered counter; 0 when the name was never registered
-  /// (a view asking about a stage that is not armed reads zero activity).
+  /// (asking about a stage that is not armed reads zero activity).
   std::uint64_t counter_value(const std::string& name) const {
     const auto it = counter_index_.find(name);
     if (it == counter_index_.end()) return 0;
-    return counters_[it->second].counter.value();
-  }
-
-  double gauge_value(const std::string& name) const {
-    const auto it = gauge_index_.find(name);
-    return it == gauge_index_.end() ? 0.0 : gauges_[it->second].gauge.value();
+    return counters_[it->second].value();
   }
 
   const LatencyRecorder* find_latency(const std::string& name) const {
     const auto it = latency_index_.find(name);
-    return it == latency_index_.end() ? nullptr
-                                      : &latencies_[it->second].recorder;
+    return it == latency_index_.end() ? nullptr : &latencies_[it->second];
   }
 
   /// Counter names in registration order (the layout every snapshot uses).
@@ -208,47 +160,25 @@ class MetricsRegistry {
   std::vector<std::uint64_t> counter_values() const {
     std::vector<std::uint64_t> out;
     out.reserve(counters_.size());
-    for (const auto& entry : counters_) out.push_back(entry.counter.value());
+    for (const Counter& c : counters_) out.push_back(c.value());
     return out;
   }
 
   std::size_t num_counters() const { return counters_.size(); }
 
-  /// Zeroes every counter, gauge, and latency recorder except the entries
-  /// registered with preserve_on_reset.
+  /// Zeroes every counter and latency recorder; the layout (names and
+  /// their order) is kept.
   void reset() {
-    for (auto& entry : counters_) {
-      if (!entry.preserve_on_reset) entry.counter.value_ = 0;
-    }
-    for (auto& entry : gauges_) {
-      if (!entry.preserve_on_reset) entry.gauge.value_ = 0.0;
-    }
-    for (auto& entry : latencies_) entry.recorder = LatencyRecorder{};
+    for (Counter& c : counters_) c.value_ = 0;
+    for (LatencyRecorder& l : latencies_) l = LatencyRecorder{};
   }
 
  private:
-  struct CounterEntry {
-    std::string name;
-    bool preserve_on_reset;
-    Counter counter;
-  };
-  struct GaugeEntry {
-    std::string name;
-    bool preserve_on_reset;
-    Gauge gauge;
-  };
-  struct LatencyEntry {
-    std::string name;
-    LatencyRecorder recorder;
-  };
-
   // Deques: registration must not invalidate references held by stages.
-  std::deque<CounterEntry> counters_;
-  std::deque<GaugeEntry> gauges_;
-  std::deque<LatencyEntry> latencies_;
+  std::deque<Counter> counters_;
+  std::deque<LatencyRecorder> latencies_;
   std::vector<std::string> counter_names_;
   std::unordered_map<std::string, std::size_t> counter_index_;
-  std::unordered_map<std::string, std::size_t> gauge_index_;
   std::unordered_map<std::string, std::size_t> latency_index_;
 };
 

@@ -72,6 +72,10 @@ DDStore::DDStore(simmpi::Comm& comm, const formats::SampleReader& reader,
     throw ConfigError("tiered.staging_depth must be >= 1, got " +
                       std::to_string(config_.tiered.staging_depth));
   }
+  if (config_.retry.max_attempts < 1) {
+    throw ConfigError("retry.max_attempts must be >= 1, got " +
+                      std::to_string(config_.retry.max_attempts));
+  }
   const std::uint64_t n = reader.num_samples();
   const ChunkAssignment assignment(n, width, config_.placement);
 
@@ -109,16 +113,11 @@ DDStore::DDStore(simmpi::Comm& comm, const formats::SampleReader& reader,
   }
   chunk_ = std::shared_ptr<const ByteBuffer>(chunk_data, &chunk_data->bytes);
   if (fs_faults_armed) fs_client.disarm_faults();
-
-  // Preload facts are construction-time state, registered preserved so
-  // reset_stats() at epoch boundaries cannot erase what construction cost.
-  // Registered before the engine's fetch counters on every rank, keeping
-  // registry layouts rank-identical (the trainer sums snapshots
-  // elementwise).
-  metrics_.counter("preload_retries", /*preserve_on_reset=*/true) +=
-      preload_retries;
-  metrics_.gauge("preload_seconds", /*preserve_on_reset=*/true)
-      .set(fs_client.clock().now() - preload_start);
+  // Preload facts are construction-time state, kept outside the registry
+  // so reset_stats() at epoch boundaries cannot erase what construction
+  // cost.
+  preload_ = DDStoreStats{preload_retries,
+                          fs_client.clock().now() - preload_start};
 
   // 3. Data Registry: group 0 gathers chunk lengths and checksums to comm
   // rank 0, which builds the (globally identical) index once; everyone
@@ -203,59 +202,6 @@ void DDStore::adopt_layout(const Layout& to, std::optional<ByteBuffer> new_chunk
   auto* mutable_bytes = const_cast<std::byte*>(chunk_->data());
   window_.emplace(comm_, MutableByteSpan(mutable_bytes, chunk_->size()),
                   chunk_);
-}
-
-const DDStoreStats& DDStore::stats() const {
-  DDStoreStats& s = stats_view_;
-  s.local_gets = metrics_.counter_value("local_gets");
-  s.remote_gets = metrics_.counter_value("remote_gets");
-  s.bytes_fetched = metrics_.counter_value("bytes_fetched");
-  s.nominal_bytes_fetched = metrics_.counter_value("nominal_bytes_fetched");
-  s.retries = metrics_.counter_value("retries");
-  s.failovers = metrics_.counter_value("failovers");
-  s.checksum_failures = metrics_.counter_value("checksum_failures");
-  s.degraded_reads = metrics_.counter_value("degraded_reads");
-  s.breaker_trips = metrics_.counter_value("breaker_trips");
-  s.lock_epochs = metrics_.counter_value("lock_epochs");
-  s.rma_transfers = metrics_.counter_value("rma_transfers");
-  s.coalesced_transfers = metrics_.counter_value("coalesced_transfers");
-  s.coalesced_segments = metrics_.counter_value("coalesced_segments");
-  s.coalesced_bytes = metrics_.counter_value("coalesced_bytes");
-  s.lock_epochs_saved = metrics_.counter_value("lock_epochs_saved");
-  s.batch_dup_hits = metrics_.counter_value("batch_dup_hits");
-  s.coalesced_fallbacks = metrics_.counter_value("coalesced_fallbacks");
-  s.cache_hits = metrics_.counter_value("cache_hits");
-  s.cache_misses = metrics_.counter_value("cache_misses");
-  s.cache_evictions = metrics_.counter_value("cache_evictions");
-  s.cache_hit_bytes = metrics_.counter_value("cache_hit_bytes");
-  s.hedged_fetches = metrics_.counter_value("hedged_fetches");
-  s.hedge_wins = metrics_.counter_value("hedge_wins");
-  s.hedge_mismatches = metrics_.counter_value("hedge_mismatches");
-  s.hedge_cancelled_bytes = metrics_.counter_value("hedge_cancelled_bytes");
-  s.quarantine_steers = metrics_.counter_value("quarantine_steers");
-  s.cold_misses = metrics_.counter_value("cold_misses");
-  s.staged_hits = metrics_.counter_value("staged_hits");
-  s.staged_hit_bytes = metrics_.counter_value("staged_hit_bytes");
-  s.staged_bytes = metrics_.counter_value("staged_bytes");
-  s.staged_evictions = metrics_.counter_value("staged_evictions");
-  s.stage_nvme_hits = metrics_.counter_value("stage_nvme_hits");
-  s.stage_backpressure_delays =
-      metrics_.counter_value("stage_backpressure_delays");
-  s.sched_local_planned = metrics_.counter_value("sched_local_planned");
-  s.sched_remote_planned = metrics_.counter_value("sched_remote_planned");
-  s.sched_remote_bytes = metrics_.counter_value("sched_remote_bytes");
-  s.reshards = metrics_.counter_value("reshards");
-  s.reshard_pull_bytes = metrics_.counter_value("reshard_pull_bytes");
-  s.reshard_keep_bytes = metrics_.counter_value("reshard_keep_bytes");
-  s.reshard_cold_stage_bytes =
-      metrics_.counter_value("reshard_cold_stage_bytes");
-  s.rank_rebuilds = metrics_.counter_value("rank_rebuilds");
-  s.rebuild_bytes = metrics_.counter_value("rebuild_bytes");
-  s.preload_retries = metrics_.counter_value("preload_retries");
-  s.preload_seconds = metrics_.gauge_value("preload_seconds");
-  const LatencyRecorder* lat = metrics_.find_latency("sample_load_s");
-  s.latency = lat != nullptr ? *lat : LatencyRecorder{};
-  return s;
 }
 
 }  // namespace dds::core

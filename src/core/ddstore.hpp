@@ -17,8 +17,9 @@
 // The store owns construction and lifetime; every read after that is
 // delegated to the composable FetchEngine (core/fetch/engine.hpp), which
 // runs the Plan / Cache / Transport / Resilience / Verify-Account stages.
-// All counters live in a per-rank MetricsRegistry; DDStoreStats is a
-// point-in-time view materialized by stats().
+// Every fetch counter and the per-sample loading latency live in one
+// per-rank MetricsRegistry, read through metrics(); stats() holds only the
+// construction-time preload facts.
 //
 // Elasticity: with DDStoreConfig::elastic on, the width is no longer
 // frozen — src/elastic/ plans and executes a re-striping at an epoch
@@ -87,19 +88,18 @@ class DDStore {
   /// Collective epoch boundary over the replica group (MPI_Win_fence).
   void fence() { window_->fence(); }
 
-  /// Materializes a point-in-time DDStoreStats view over the metrics
-  /// registry.  The reference stays valid for the store's lifetime but its
-  /// contents are refreshed on every call — capture by value to keep a
-  /// snapshot across further store activity.
-  const DDStoreStats& stats() const;
+  /// The construction-time preload facts (retries, seconds).  Set once by
+  /// the constructor; reset_stats() leaves them alone.
+  const DDStoreStats& stats() const { return preload_; }
 
-  /// Zeroes per-epoch counters in the registry.  Construction-time preload
-  /// facts (preload_retries, preload_seconds) survive, and so do the cache
-  /// configuration *and contents* — resetting stats at an epoch boundary
-  /// must not cool a deliberately warmed cache.
+  /// Zeroes every counter and latency recorder in the registry.  The
+  /// preload facts survive, and so do the cache configuration *and
+  /// contents* — resetting stats at an epoch boundary must not cool a
+  /// deliberately warmed cache.
   void reset_stats() { metrics_.reset(); }
 
-  /// The per-rank metrics registry every fetch counter lives in.
+  /// The per-rank metrics registry every fetch counter and the
+  /// "sample_load_s" latency recorder live in.
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry& metrics() { return metrics_; }
 
@@ -170,9 +170,9 @@ class DDStore {
   std::shared_ptr<const ByteBuffer> chunk_;  ///< aliased across twin ranks
   std::optional<simmpi::Window> window_;  ///< over comm_: all replicas addressable
 
+  DDStoreStats preload_;  ///< construction-time facts, never reset
   MetricsRegistry metrics_;
   std::optional<fetch::FetchEngine> engine_;
-  mutable DDStoreStats stats_view_;
 };
 
 }  // namespace dds::core

@@ -1,4 +1,4 @@
-// DDStore configuration and the stats view.
+// DDStore configuration and the preload facts (DDStoreStats).
 //
 // Split out of ddstore.hpp so the fetch stages (core/fetch/) can see the
 // policy knobs without a circular include on the store itself.
@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hpp"
 #include "core/registry.hpp"
 #include "formats/reader.hpp"
 
@@ -48,7 +47,7 @@ enum class BatchFetchMode {
 /// which only occur when fault injection is armed — with faults off this
 /// policy adds zero work to the hot path.
 struct RetryPolicy {
-  /// Attempts per target per fetch (1 = no retry).
+  /// Attempts per target per fetch (1 = no retry; must be >= 1).
   int max_attempts = 3;
   /// First retry backoff, charged to the origin's virtual clock.
   double backoff_base_s = 250e-6;
@@ -206,106 +205,12 @@ struct DDStoreConfig {
   LocalityMode locality_mode = LocalityMode::Shuffle;
 };
 
-/// A point-in-time view over the store's MetricsRegistry, materialized by
-/// DDStore::stats().  Field names double as the registry's counter names;
-/// reset_stats() preserves the construction-time preload facts (and the
-/// cache configuration, which lives in DDStoreConfig, not here).
+/// Construction-time facts of the store's Data Preloader, set once by the
+/// DDStore constructor and never reset.  Every per-epoch counter and the
+/// per-sample loading latency live in DDStore::metrics() instead.
 struct DDStoreStats {
-  std::uint64_t local_gets = 0;
-  std::uint64_t remote_gets = 0;
-  std::uint64_t bytes_fetched = 0;          ///< actual bytes
-  std::uint64_t nominal_bytes_fetched = 0;  ///< paper-scale bytes
-  /// Per-sample graph-loading latency (fetch + decode), the quantity in
-  /// the paper's Fig. 6/12 and Tables 2/3.
-  LatencyRecorder latency;
-
-  // Resilience counters (all zero unless fault injection is armed).
-  std::uint64_t retries = 0;            ///< re-attempts after a failed get
-  std::uint64_t failovers = 0;          ///< samples served by a non-primary target
-  std::uint64_t checksum_failures = 0;  ///< payloads rejected by checksum
-  std::uint64_t degraded_reads = 0;     ///< samples served via FS fallback
-  std::uint64_t breaker_trips = 0;      ///< circuit-breaker open events
-
-  // Fetch-path traffic counters (every batch mode maintains these, so the
-  // lock/coalesce ablations can report exactly what each policy issued).
-  std::uint64_t lock_epochs = 0;    ///< MPI_Win_lock/unlock pairs taken
-  std::uint64_t rma_transfers = 0;  ///< window get/getv calls issued
-
-  // Planner counters (Coalesced batches only).
-  std::uint64_t coalesced_transfers = 0;  ///< vectored gets issued
-  std::uint64_t coalesced_segments = 0;   ///< merged ranges across them
-  std::uint64_t coalesced_bytes = 0;      ///< actual bytes they moved
-  /// Lock epochs a per-sample policy would have taken minus the epochs the
-  /// batched policy actually planned (unique samples - target epochs per
-  /// batch); fallback re-fetches do not subtract from this planner metric.
-  std::uint64_t lock_epochs_saved = 0;
-  /// Duplicate ids inside batches served from the first fetch (deduped).
-  std::uint64_t batch_dup_hits = 0;
-  /// Coalesced transfers that degraded to per-sample resilient fetches
-  /// (transport failure or checksum mismatch inside the staged payload).
-  std::uint64_t coalesced_fallbacks = 0;
-
-  // Cache stage counters (all zero unless cache_capacity_bytes > 0).
-  std::uint64_t cache_hits = 0;       ///< unique lookups served from cache
-  std::uint64_t cache_misses = 0;     ///< unique lookups that went to fetch
-  std::uint64_t cache_evictions = 0;  ///< entries displaced by inserts
-  std::uint64_t cache_hit_bytes = 0;  ///< actual payload bytes served hot
-
-  // Hedging counters (all zero unless DDStoreConfig::hedge.enabled).
-  std::uint64_t hedged_fetches = 0;   ///< backup gets fired past a deadline
-  std::uint64_t hedge_wins = 0;       ///< fetches the backup response won
-  std::uint64_t hedge_mismatches = 0; ///< twin payloads that disagreed
-  /// Redundant wire bytes of the losing response when both legs of a hedge
-  /// delivered (the cancellation cost; never double-counted into
-  /// bytes_fetched, which records each sample once).
-  std::uint64_t hedge_cancelled_bytes = 0;
-  /// Fetches whose candidate order demoted a quarantined-but-alive primary
-  /// (health steering engaged before any breaker opened).
-  std::uint64_t quarantine_steers = 0;
-
-  // Tiering counters (all zero unless TieredConfig::enabled()).
-  std::uint64_t cold_misses = 0;      ///< unique cold lookups sent to staging
-  std::uint64_t staged_hits = 0;      ///< unique cold lookups served staged-set
-  std::uint64_t staged_hit_bytes = 0; ///< actual bytes those hits served
-  std::uint64_t staged_bytes = 0;     ///< actual bytes read from the cold tier
-  std::uint64_t staged_evictions = 0; ///< staged-set entries displaced
-  std::uint64_t stage_nvme_hits = 0;  ///< staged reads served by the NVMe tier
-  /// Staged reads whose issue slipped because all staging_depth slots were
-  /// in flight (queue backpressure engaged).
-  std::uint64_t stage_backpressure_delays = 0;
-
-  // Scheduling counters (all zero unless locality_mode != Shuffle).  The
-  // fetch planner classifies every *planned* unique sample by where the
-  // scheduler put it: on a rank whose hot chunk holds it (scheduled-local)
-  // or not (scheduled-remote).  Against local_gets/remote_gets — which
-  // record what the wire actually did — these show how much of the
-  // scheduler's plan survived caching, failover, and staging.
-  std::uint64_t sched_local_planned = 0;   ///< unique samples planned local
-  std::uint64_t sched_remote_planned = 0;  ///< unique samples planned remote
-  std::uint64_t sched_remote_bytes = 0;    ///< nominal bytes planned remote
-
-  // Elastic counters (all zero unless DDStoreConfig::elastic is on).
-  std::uint64_t reshards = 0;            ///< adopted layout swaps
-  std::uint64_t reshard_pull_bytes = 0;  ///< bytes pulled from remote chunks
-  std::uint64_t reshard_keep_bytes = 0;  ///< bytes reused from the old chunk
-  std::uint64_t rank_rebuilds = 0;       ///< dead-rank chunks rebuilt
-  std::uint64_t rebuild_bytes = 0;       ///< bytes re-hosted by rebuilds
-  /// Bytes re-staged from the cold tier because a reshard made them hot on
-  /// a rank where no old layout held them hot (tiered reshards only).
-  std::uint64_t reshard_cold_stage_bytes = 0;
-
-  // Preload facts: set once at construction, preserved by reset_stats()
-  // (epoch-boundary resets must not erase what construction cost).
-  std::uint64_t preload_retries = 0;
-  double preload_seconds = 0.0;
-
-  /// Fraction of cache lookups that hit (0 when the cache never engaged).
-  double cache_hit_rate() const {
-    const std::uint64_t lookups = cache_hits + cache_misses;
-    return lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) / static_cast<double>(lookups);
-  }
+  std::uint64_t preload_retries = 0;  ///< transient FS errors retried
+  double preload_seconds = 0.0;       ///< virtual seconds spent preloading
 };
 
 }  // namespace dds::core

@@ -1,6 +1,6 @@
 // MetricsRegistry contracts: registration-order iteration, stable
-// references, preserve-on-reset semantics, and re-registration rules —
-// everything DDStoreStats views, epoch-delta diffing, and the bench JSON
+// references, reset semantics, and re-registration rules — everything
+// DDStore::metrics() readers, epoch-delta diffing, and the bench JSON
 // serializers rely on.
 #include "common/metrics.hpp"
 
@@ -38,24 +38,17 @@ TEST(MetricsRegistryTest, ValuesAlignWithNamesPositionally) {
 TEST(MetricsRegistryTest, ReferencesStayValidAsRegistryGrows) {
   MetricsRegistry reg;
   MetricsRegistry::Counter& first = reg.counter("first");
-  MetricsRegistry::Gauge& g = reg.gauge("g");
   // Force many deque/map insertions; the early references must not move.
-  for (int i = 0; i < 1000; ++i) {
-    reg.counter("filler_" + std::to_string(i));
-    reg.gauge("gfiller_" + std::to_string(i));
-  }
+  for (int i = 0; i < 1000; ++i) reg.counter("filler_" + std::to_string(i));
   ++first;
   first += 4;
-  g.set(2.5);
   EXPECT_EQ(reg.counter_value("first"), 5u);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("g"), 2.5);
 }
 
 TEST(MetricsRegistryTest, UnregisteredNamesReadAsZero) {
   MetricsRegistry reg;
   EXPECT_FALSE(reg.has_counter("ghost"));
   EXPECT_EQ(reg.counter_value("ghost"), 0u);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("ghost"), 0.0);
   EXPECT_EQ(reg.find_latency("ghost"), nullptr);
 }
 
@@ -69,29 +62,17 @@ TEST(MetricsRegistryTest, ReopeningReturnsTheSameEntry) {
   EXPECT_EQ(reg.num_counters(), 1u);
 }
 
-TEST(MetricsRegistryTest, ReopeningWithDifferentPreserveFlagThrows) {
+TEST(MetricsRegistryTest, ResetZeroesEveryCounterAndLatencyRecorder) {
   MetricsRegistry reg;
-  reg.counter("pinned", /*preserve_on_reset=*/true);
-  EXPECT_THROW(reg.counter("pinned", /*preserve_on_reset=*/false),
-               InternalError);
-  reg.gauge("pg", /*preserve_on_reset=*/true);
-  EXPECT_THROW(reg.gauge("pg", /*preserve_on_reset=*/false), InternalError);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesAllButPreservedEntries) {
-  MetricsRegistry reg;
-  reg.counter("volatile_c") += 7;
-  reg.counter("preserved_c", /*preserve_on_reset=*/true) += 9;
-  reg.gauge("volatile_g").set(1.0);
-  reg.gauge("preserved_g", /*preserve_on_reset=*/true).set(3.0);
+  reg.counter("c") += 7;
+  reg.counter("d", MetricLabel{"tenant", "1"}) += 9;
   reg.latency("lat").add(0.5);
+  const auto names_before = reg.counter_names();
 
   reg.reset();
 
-  EXPECT_EQ(reg.counter_value("volatile_c"), 0u);
-  EXPECT_EQ(reg.counter_value("preserved_c"), 9u);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("volatile_g"), 0.0);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("preserved_g"), 3.0);
+  EXPECT_EQ(reg.counter_values(), (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_EQ(reg.counter_names(), names_before);
   ASSERT_NE(reg.find_latency("lat"), nullptr);
   EXPECT_EQ(reg.find_latency("lat")->count(), 0u);
 }

@@ -73,12 +73,13 @@ TEST_F(DDStoreBatchTest, AllModesPreserveRequestOrderWithDuplicates) {
       const auto batch = store.get_batch(ids);
       expect_request_order(batch, ids);
 
-      const auto& st = store.stats();
+      const MetricsRegistry& m = store.metrics();
       // 9 requests over 6 unique ids: 3 duplicate hits, 9 decodes, and 6
       // fetches' worth of bytes (each unique id moved exactly once).
-      EXPECT_EQ(st.batch_dup_hits, 3u);
-      EXPECT_EQ(st.latency.count(), ids.size());
-      EXPECT_EQ(st.local_gets + st.remote_gets, 6u);
+      EXPECT_EQ(m.counter_value("batch_dup_hits"), 3u);
+      EXPECT_EQ(m.find_latency("sample_load_s")->count(), ids.size());
+      EXPECT_EQ(m.counter_value("local_gets") + m.counter_value("remote_gets"),
+                6u);
       store.fence();
     });
   }
@@ -100,14 +101,15 @@ TEST_F(DDStoreBatchTest, CoalescedPlansOneTransferPerTarget) {
     const auto batch = store.get_batch(ids);
     expect_request_order(batch, ids);
 
-    const auto& st = store.stats();
-    EXPECT_EQ(st.coalesced_transfers, 4u);
-    EXPECT_EQ(st.coalesced_segments, 4u);
-    EXPECT_EQ(st.lock_epochs, 4u);
-    EXPECT_EQ(st.rma_transfers, 4u);
-    EXPECT_EQ(st.lock_epochs_saved, kSamples - 4u);
-    EXPECT_EQ(st.coalesced_fallbacks, 0u);
-    EXPECT_EQ(st.coalesced_bytes, st.bytes_fetched);
+    const MetricsRegistry& m = store.metrics();
+    EXPECT_EQ(m.counter_value("coalesced_transfers"), 4u);
+    EXPECT_EQ(m.counter_value("coalesced_segments"), 4u);
+    EXPECT_EQ(m.counter_value("lock_epochs"), 4u);
+    EXPECT_EQ(m.counter_value("rma_transfers"), 4u);
+    EXPECT_EQ(m.counter_value("lock_epochs_saved"), kSamples - 4u);
+    EXPECT_EQ(m.counter_value("coalesced_fallbacks"), 0u);
+    EXPECT_EQ(m.counter_value("coalesced_bytes"),
+              m.counter_value("bytes_fetched"));
     store.fence();
   });
 }
@@ -126,11 +128,11 @@ TEST_F(DDStoreBatchTest, LockPerTargetCountsEpochsAndTransfers) {
     const auto batch = store.get_batch(ids);
     expect_request_order(batch, ids);
 
-    const auto& st = store.stats();
+    const MetricsRegistry& m = store.metrics();
     // One epoch per distinct target, one plain get per unique sample.
-    EXPECT_EQ(st.lock_epochs, 4u);
-    EXPECT_EQ(st.rma_transfers, kSamples);
-    EXPECT_EQ(st.coalesced_transfers, 0u);
+    EXPECT_EQ(m.counter_value("lock_epochs"), 4u);
+    EXPECT_EQ(m.counter_value("rma_transfers"), kSamples);
+    EXPECT_EQ(m.counter_value("coalesced_transfers"), 0u);
     store.fence();
   });
 }
@@ -143,10 +145,10 @@ TEST_F(DDStoreBatchTest, PerSampleCountsOneEpochPerFetch) {
     DDStore store(c, reader, client);  // PerSample default
     const auto ids = dup_batch();
     (void)store.get_batch(ids);
-    const auto& st = store.stats();
-    EXPECT_EQ(st.lock_epochs, 6u);    // unique ids
-    EXPECT_EQ(st.rma_transfers, 6u);
-    EXPECT_EQ(st.lock_epochs_saved, 0u);
+    const MetricsRegistry& m = store.metrics();
+    EXPECT_EQ(m.counter_value("lock_epochs"), 6u);  // unique ids
+    EXPECT_EQ(m.counter_value("rma_transfers"), 6u);
+    EXPECT_EQ(m.counter_value("lock_epochs_saved"), 0u);
     store.fence();
   });
 }
@@ -190,8 +192,8 @@ TEST_F(DDStoreBatchTest, CoalescedDegradesToResilientFetchesUnderFaults) {
       store.fence();
       if (c.rank() == 0) mine = batch;
       if (mode == BatchFetchMode::Coalesced) {
-        fallbacks += store.stats().coalesced_fallbacks;
-        checksum_failures += store.stats().checksum_failures;
+        fallbacks += store.metrics().counter_value("coalesced_fallbacks");
+        checksum_failures += store.metrics().counter_value("checksum_failures");
       }
     });
     runs.push_back(std::move(mine));

@@ -68,11 +68,14 @@ class DDStoreFaultsTest : public ::testing::Test {
       cfg.width = width;
       DDStore store(c, reader, client, cfg);
       expect_all_samples_intact(store);
-      const auto& st = store.stats();
+      const MetricsRegistry& m = store.metrics();
       counts[static_cast<std::size_t>(c.rank())] =
-          RankCounts{st.retries,         st.failovers,
-                     st.checksum_failures, st.degraded_reads,
-                     st.breaker_trips,   st.preload_retries};
+          RankCounts{m.counter_value("retries"),
+                     m.counter_value("failovers"),
+                     m.counter_value("checksum_failures"),
+                     m.counter_value("degraded_reads"),
+                     m.counter_value("breaker_trips"),
+                     store.stats().preload_retries};
     });
     return counts;
   }
@@ -91,13 +94,13 @@ TEST_F(DDStoreFaultsTest, FaultFreeRunKeepsResilienceCountersAtZero) {
     cfg.width = 2;
     DDStore store(c, reader, client, cfg);
     expect_all_samples_intact(store);
-    const auto& st = store.stats();
-    EXPECT_EQ(st.retries, 0u);
-    EXPECT_EQ(st.failovers, 0u);
-    EXPECT_EQ(st.checksum_failures, 0u);
-    EXPECT_EQ(st.degraded_reads, 0u);
-    EXPECT_EQ(st.breaker_trips, 0u);
-    EXPECT_EQ(st.preload_retries, 0u);
+    const MetricsRegistry& m = store.metrics();
+    EXPECT_EQ(m.counter_value("retries"), 0u);
+    EXPECT_EQ(m.counter_value("failovers"), 0u);
+    EXPECT_EQ(m.counter_value("checksum_failures"), 0u);
+    EXPECT_EQ(m.counter_value("degraded_reads"), 0u);
+    EXPECT_EQ(m.counter_value("breaker_trips"), 0u);
+    EXPECT_EQ(store.stats().preload_retries, 0u);
   });
 }
 
@@ -113,7 +116,7 @@ TEST_F(DDStoreFaultsTest, TransientFailuresAreRetriedWithDataIntact) {
     expect_all_samples_intact(store);
     // Faults never change what the trainer sees, only what it cost.
     const auto total_retries =
-        c.allreduce(store.stats().retries, simmpi::Op::Sum);
+        c.allreduce(store.metrics().counter_value("retries"), simmpi::Op::Sum);
     EXPECT_GT(total_retries, 0u);
   });
 }
@@ -133,8 +136,10 @@ TEST_F(DDStoreFaultsTest, CorruptedTransfersAreCaughtByChecksums) {
     // on the last attempt of a target escalates to failover/FS fallback,
     // so retries need not dominate the catch count.
     const auto caught =
-        c.allreduce(store.stats().checksum_failures, simmpi::Op::Sum);
-    const auto retries = c.allreduce(store.stats().retries, simmpi::Op::Sum);
+        c.allreduce(store.metrics().counter_value("checksum_failures"),
+                    simmpi::Op::Sum);
+    const auto retries =
+        c.allreduce(store.metrics().counter_value("retries"), simmpi::Op::Sum);
     EXPECT_GT(caught, 0u);
     EXPECT_GT(retries, 0u);
   });
@@ -153,14 +158,16 @@ TEST_F(DDStoreFaultsTest, DeadRankFailsOverToTwinInSiblingGroup) {
     DDStore store(c, reader, client, cfg);
     expect_all_samples_intact(store);
     const auto failovers =
-        c.allreduce(store.stats().failovers, simmpi::Op::Sum);
+        c.allreduce(store.metrics().counter_value("failovers"),
+                    simmpi::Op::Sum);
     const auto degraded =
-        c.allreduce(store.stats().degraded_reads, simmpi::Op::Sum);
+        c.allreduce(store.metrics().counter_value("degraded_reads"),
+                    simmpi::Op::Sum);
     EXPECT_GT(failovers, 0u);        // rank 0 rerouted around its dead peer
     EXPECT_EQ(degraded, 0u);         // replication sufficed; no FS reads
     if (c.rank() == 0) {
-      EXPECT_GT(store.stats().failovers, 0u);
-      EXPECT_GT(store.stats().breaker_trips, 0u);
+      EXPECT_GT(store.metrics().counter_value("failovers"), 0u);
+      EXPECT_GT(store.metrics().counter_value("breaker_trips"), 0u);
     }
   });
 }
@@ -177,8 +184,8 @@ TEST_F(DDStoreFaultsTest, SingleReplicaDeadRankDegradesToFsFallback) {
     expect_all_samples_intact(store);
     if (c.rank() != 1) {
       // Every sample owned by the dead rank had to come from the FS.
-      EXPECT_GT(store.stats().degraded_reads, 0u);
-      EXPECT_EQ(store.stats().failovers, 0u);
+      EXPECT_GT(store.metrics().counter_value("degraded_reads"), 0u);
+      EXPECT_EQ(store.metrics().counter_value("failovers"), 0u);
     }
   });
 }
@@ -233,7 +240,7 @@ TEST_F(DDStoreFaultsTest, PreloadRetriesTransientFsErrors) {
     EXPECT_GT(preload_retries, 0u);
     // FS faults are armed only around preload: steady-state fetches (and
     // any degraded-mode fallback) read the filesystem unimpeded.
-    EXPECT_EQ(store.stats().degraded_reads, 0u);
+    EXPECT_EQ(store.metrics().counter_value("degraded_reads"), 0u);
   });
 }
 
@@ -253,9 +260,12 @@ TEST_F(DDStoreFaultsTest, ResetStatsPreservesPreloadFacts) {
     EXPECT_GT(preload_s, 0.0);
 
     store.reset_stats();
-    EXPECT_EQ(store.stats().retries, 0u);
-    EXPECT_EQ(store.stats().local_gets, 0u);
-    EXPECT_EQ(store.stats().latency.count(), 0u);
+    // Every registered counter and the latency recorder read zero; only
+    // the preload facts, which live outside the registry, survive.
+    for (const std::uint64_t v : store.metrics().counter_values()) {
+      EXPECT_EQ(v, 0u);
+    }
+    EXPECT_EQ(store.metrics().find_latency("sample_load_s")->count(), 0u);
     EXPECT_DOUBLE_EQ(store.stats().preload_seconds, preload_s);
     EXPECT_EQ(store.stats().preload_retries, preload_r);
   });

@@ -82,18 +82,18 @@ class DDStoreHedgeTest : public ::testing::Test {
       for (int pass = 0; pass < passes; ++pass) {
         expect_all_samples_intact(store);
       }
-      const auto& st = store.stats();
+      const MetricsRegistry& m = store.metrics();
       const auto sum = [&](std::uint64_t v) {
         return c.allreduce(v, simmpi::Op::Sum);
       };
-      const Totals t{sum(st.bytes_fetched),
-                     sum(st.hedged_fetches),
-                     sum(st.hedge_wins),
-                     sum(st.hedge_mismatches),
-                     sum(st.hedge_cancelled_bytes),
-                     sum(st.quarantine_steers),
-                     sum(st.retries),
-                     sum(st.degraded_reads)};
+      const Totals t{sum(m.counter_value("bytes_fetched")),
+                     sum(m.counter_value("hedged_fetches")),
+                     sum(m.counter_value("hedge_wins")),
+                     sum(m.counter_value("hedge_mismatches")),
+                     sum(m.counter_value("hedge_cancelled_bytes")),
+                     sum(m.counter_value("quarantine_steers")),
+                     sum(m.counter_value("retries")),
+                     sum(m.counter_value("degraded_reads"))};
       if (c.rank() == 0) {
         totals = t;
       }
@@ -205,12 +205,13 @@ TEST_F(DDStoreHedgeTest, ReviveRestoresBreakerAndHealthEligibility) {
     DDStore store(c, reader, client, cfg);
 
     expect_all_samples_intact(store);  // served via failover to the twin
-    const std::uint64_t failovers_before = store.stats().failovers;
+    const std::uint64_t failovers_before =
+        store.metrics().counter_value("failovers");
     if (c.rank() == 0) {
       // The dead partner's breaker is open, so its health reads zero —
       // exactly the signal the elastic driver aggregates.
       EXPECT_GT(failovers_before, 0u);
-      EXPECT_GT(store.stats().breaker_trips, 0u);
+      EXPECT_GT(store.metrics().counter_value("breaker_trips"), 0u);
       EXPECT_EQ(store.health_score(kStraggler), 0.0);
     }
 
@@ -227,9 +228,9 @@ TEST_F(DDStoreHedgeTest, ReviveRestoresBreakerAndHealthEligibility) {
     if (c.rank() == 0) {
       // The revived rank serves as primary again: no new failovers, and
       // its health recovers once fresh observations flow.
-      EXPECT_EQ(store.stats().failovers, failovers_before);
+      EXPECT_EQ(store.metrics().counter_value("failovers"), failovers_before);
       EXPECT_GT(store.health_score(kStraggler), 0.5);
-      EXPECT_EQ(store.stats().hedge_mismatches, 0u);
+      EXPECT_EQ(store.metrics().counter_value("hedge_mismatches"), 0u);
     }
     store.fence();
   });

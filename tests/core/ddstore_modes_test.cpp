@@ -68,8 +68,8 @@ TEST_F(ModesTest, TwoSidedVerifiedEpochServesIdenticalBytesAtNoModeledCost) {
         EXPECT_EQ(store.get_bytes(id), reader_->read_bytes_raw(id))
             << "sample " << id;
       }
-      EXPECT_EQ(store.stats().checksum_failures, 0u);
-      EXPECT_GT(store.stats().remote_gets, 0u);
+      EXPECT_EQ(store.metrics().counter_value("checksum_failures"), 0u);
+      EXPECT_GT(store.metrics().counter_value("remote_gets"), 0u);
       const double t = c.allreduce(c.clock().now(), simmpi::Op::Max);
       if (c.rank() == 0) epoch_time[verify ? 1 : 0] = t;
     });
@@ -99,7 +99,7 @@ TEST_F(ModesTest, TwoSidedCorruptRegionThrowsDataError) {
       region[entry.offset] ^= std::byte{0x01};
       EXPECT_THROW(store.get_bytes(remote_id), DataError);
       region[entry.offset] ^= std::byte{0x01};
-      EXPECT_EQ(store.stats().checksum_failures, 1u);
+      EXPECT_EQ(store.metrics().counter_value("checksum_failures"), 1u);
       EXPECT_EQ(store.get_bytes(remote_id), reader_->read_bytes_raw(remote_id));
     }
     c.barrier();

@@ -87,6 +87,23 @@ TEST_F(DDStoreTest, WidthMustDivideCommSize) {
                ConfigError);
 }
 
+// With zero attempts the retry loop would never make an RMA get, turning
+// every fetch into a degraded FS read (or an IoError without fs_fallback).
+TEST_F(DDStoreTest, RejectsNonPositiveRetryAttempts) {
+  const auto reader = cff_reader();
+  for (const int bad : {0, -1}) {
+    simmpi::Runtime rt(2, machine_);
+    EXPECT_THROW(rt.run([&](simmpi::Comm& c) {
+                   auto client = client_for(c);
+                   DDStoreConfig cfg;
+                   cfg.retry.max_attempts = bad;
+                   DDStore store(c, reader, client, cfg);
+                 }),
+                 ConfigError)
+        << "max_attempts " << bad;
+  }
+}
+
 TEST_F(DDStoreTest, LocalityFollowsPlacement) {
   simmpi::Runtime rt(4, machine_);
   const auto reader = cff_reader();
@@ -117,15 +134,15 @@ TEST_F(DDStoreTest, StatsDistinguishLocalAndRemote) {
     }
     store.get(local_id);
     store.get(remote_id);
-    EXPECT_EQ(store.stats().local_gets, 1u);
-    EXPECT_EQ(store.stats().remote_gets, 1u);
-    EXPECT_EQ(store.stats().latency.count(), 2u);
-    EXPECT_GT(store.stats().bytes_fetched, 0u);
+    EXPECT_EQ(store.metrics().counter_value("local_gets"), 1u);
+    EXPECT_EQ(store.metrics().counter_value("remote_gets"), 1u);
+    EXPECT_EQ(store.metrics().find_latency("sample_load_s")->count(), 2u);
+    EXPECT_GT(store.metrics().counter_value("bytes_fetched"), 0u);
     // Nominal accounting uses the paper-scale sample size.
-    EXPECT_EQ(store.stats().nominal_bytes_fetched,
+    EXPECT_EQ(store.metrics().counter_value("nominal_bytes_fetched"),
               2 * reader.nominal_sample_bytes());
-    EXPECT_GT(store.stats().nominal_bytes_fetched,
-              store.stats().bytes_fetched);
+    EXPECT_GT(store.metrics().counter_value("nominal_bytes_fetched"),
+              store.metrics().counter_value("bytes_fetched"));
   });
 }
 
@@ -181,7 +198,8 @@ TEST_F(DDStoreTest, LockPerTargetBatchMatchesDefault) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
       EXPECT_EQ(batch[i], ds_->make(ids[i]));
     }
-    EXPECT_EQ(store.stats().latency.count(), ids.size());
+    EXPECT_EQ(store.metrics().find_latency("sample_load_s")->count(),
+              ids.size());
   });
 }
 
@@ -242,7 +260,8 @@ TEST_F(DDStoreTest, WidthTwoMakesHalfTheFetchesLocal) {
     store.reset_stats();
     for (std::uint64_t id = 0; id < kSamples; ++id) store.get(id);
     const double local_frac =
-        static_cast<double>(store.stats().local_gets) / kSamples;
+        static_cast<double>(store.metrics().counter_value("local_gets")) /
+        kSamples;
     EXPECT_NEAR(local_frac, 0.5, 0.05);
   });
 }

@@ -134,13 +134,13 @@ TEST_F(FetchCacheTest, CachedPayloadsAreByteIdenticalUnderInjectedFaults) {
     for (std::uint64_t id = 0; id < kSamples; ++id) {
       first[id] = store.get_bytes(id);
     }
-    EXPECT_EQ(store.stats().cache_hits, 0u);
-    EXPECT_EQ(store.stats().cache_misses, kSamples);
+    EXPECT_EQ(store.metrics().counter_value("cache_hits"), 0u);
+    EXPECT_EQ(store.metrics().counter_value("cache_misses"), kSamples);
     for (std::uint64_t id = 0; id < kSamples; ++id) {
       EXPECT_EQ(store.get_bytes(id), first[id]) << "sample " << id;
       EXPECT_EQ(graph::GraphSample::deserialize(first[id]), ds_->make(id));
     }
-    EXPECT_EQ(store.stats().cache_hits, kSamples);
+    EXPECT_EQ(store.metrics().counter_value("cache_hits"), kSamples);
   });
 }
 
@@ -160,17 +160,17 @@ TEST_F(FetchCacheTest, CacheHitsBypassTransportResilienceAndLockEpochs) {
     for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
     store.reset_stats();
     for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
-    const auto& st = store.stats();
-    EXPECT_EQ(st.cache_hits, kSamples);
-    EXPECT_EQ(st.cache_misses, 0u);
-    EXPECT_EQ(st.retries, 0u);
-    EXPECT_EQ(st.failovers, 0u);
-    EXPECT_EQ(st.breaker_trips, 0u);
-    EXPECT_EQ(st.rma_transfers, 0u);
-    EXPECT_EQ(st.lock_epochs, 0u);
-    EXPECT_EQ(st.local_gets, 0u);
-    EXPECT_EQ(st.remote_gets, 0u);
-    EXPECT_EQ(st.bytes_fetched, 0u);
+    const MetricsRegistry& m = store.metrics();
+    EXPECT_EQ(m.counter_value("cache_hits"), kSamples);
+    EXPECT_EQ(m.counter_value("cache_misses"), 0u);
+    EXPECT_EQ(m.counter_value("retries"), 0u);
+    EXPECT_EQ(m.counter_value("failovers"), 0u);
+    EXPECT_EQ(m.counter_value("breaker_trips"), 0u);
+    EXPECT_EQ(m.counter_value("rma_transfers"), 0u);
+    EXPECT_EQ(m.counter_value("lock_epochs"), 0u);
+    EXPECT_EQ(m.counter_value("local_gets"), 0u);
+    EXPECT_EQ(m.counter_value("remote_gets"), 0u);
+    EXPECT_EQ(m.counter_value("bytes_fetched"), 0u);
   });
 }
 
@@ -206,9 +206,10 @@ TEST_F(FetchCacheTest, HitMissSequenceIsIdenticalAcrossWidths) {
             kSamples;
         (void)store.get_bytes(id);
       }
-      const auto& st = store.stats();
+      const MetricsRegistry& m = store.metrics();
       traces[static_cast<std::size_t>(c.rank())] =
-          Trace{st.cache_hits, st.cache_misses, st.cache_evictions};
+          Trace{m.counter_value("cache_hits"), m.counter_value("cache_misses"),
+                m.counter_value("cache_evictions")};
     });
     return traces;
   };
@@ -243,17 +244,17 @@ TEST_F(FetchCacheTest, ResetStatsPreservesCacheCapacityAndWarmth) {
     store.reset_stats();
 
     // Counters are zeroed...
-    EXPECT_EQ(store.stats().cache_hits, 0u);
-    EXPECT_EQ(store.stats().cache_misses, 0u);
-    EXPECT_EQ(store.stats().local_gets, 0u);
+    EXPECT_EQ(store.metrics().counter_value("cache_hits"), 0u);
+    EXPECT_EQ(store.metrics().counter_value("cache_misses"), 0u);
+    EXPECT_EQ(store.metrics().counter_value("local_gets"), 0u);
     // ...but construction facts and the cache survive: capacity, contents,
     // and recency are untouched, so the next fetch of a resident id hits.
     EXPECT_DOUBLE_EQ(store.stats().preload_seconds, preload_s);
     EXPECT_EQ(store.sample_cache().capacity_bytes(), kUnbounded);
     EXPECT_EQ(store.sample_cache().entries(), warm_entries);
     (void)store.get_bytes(0);
-    EXPECT_EQ(store.stats().cache_hits, 1u);
-    EXPECT_EQ(store.stats().rma_transfers, 0u);
+    EXPECT_EQ(store.metrics().counter_value("cache_hits"), 1u);
+    EXPECT_EQ(store.metrics().counter_value("rma_transfers"), 0u);
   });
 }
 
@@ -306,13 +307,14 @@ TEST_F(FetchCacheTest, PlannedBatchesServeResidentIdsWithoutTransfers) {
     }
     // Every distinct id was resident, so the plan produced no targets: no
     // lock epochs, no coalesced transfers, only cache service.
-    const auto& st = store.stats();
-    EXPECT_EQ(st.cache_hits, 6u);  // distinct ids; duplicates decode only
-    EXPECT_EQ(st.cache_misses, 0u);
-    EXPECT_EQ(st.coalesced_transfers, 0u);
-    EXPECT_EQ(st.lock_epochs, 0u);
-    EXPECT_EQ(st.rma_transfers, 0u);
-    EXPECT_EQ(st.batch_dup_hits, 2u);
+    const MetricsRegistry& m = store.metrics();
+    // Distinct ids; duplicates decode only.
+    EXPECT_EQ(m.counter_value("cache_hits"), 6u);
+    EXPECT_EQ(m.counter_value("cache_misses"), 0u);
+    EXPECT_EQ(m.counter_value("coalesced_transfers"), 0u);
+    EXPECT_EQ(m.counter_value("lock_epochs"), 0u);
+    EXPECT_EQ(m.counter_value("rma_transfers"), 0u);
+    EXPECT_EQ(m.counter_value("batch_dup_hits"), 2u);
   });
 }
 

@@ -126,7 +126,7 @@ TEST_F(FetchStressTest, TwinAliasedChunksUnderConcurrentCachedReads) {
       }
     }
     // Second round was fully cache-resident.
-    EXPECT_GE(store.stats().cache_hits, kSamples);
+    EXPECT_GE(store.metrics().counter_value("cache_hits"), kSamples);
     store.fence();
   });
 }

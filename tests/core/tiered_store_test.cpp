@@ -87,14 +87,14 @@ TEST_F(TieredStoreTest, DefaultConfigHasNoStagingStage) {
     DDStore store(c, reader, client);
     EXPECT_EQ(store.staging(), nullptr);
     EXPECT_FALSE(store.layout().tiered());
-    // Every sample is hot; no tier counter was ever registered, so the
-    // stats view reads zeros through the registry's missing-name fallback.
+    // Every sample is hot; no tier counter was ever registered, so reading
+    // one by name gives zero through the registry's missing-name fallback.
     for (std::uint64_t id = 0; id < kSamples; ++id) {
       EXPECT_TRUE(store.layout().is_hot(id));
     }
     (void)store.get_bytes(0);
-    EXPECT_EQ(store.stats().cold_misses, 0u);
-    EXPECT_EQ(store.stats().staged_bytes, 0u);
+    EXPECT_EQ(store.metrics().counter_value("cold_misses"), 0u);
+    EXPECT_EQ(store.metrics().counter_value("staged_bytes"), 0u);
   });
 }
 
@@ -182,16 +182,17 @@ TEST_F(TieredStoreTest, ColdReadsAreCountedAndPromoted) {
       (void)store.get_bytes(id);
     }
     ASSERT_GT(cold, 0u);
-    const auto& st = store.stats();
-    EXPECT_EQ(st.cold_misses, cold);
-    EXPECT_GT(st.staged_bytes, 0u);
-    EXPECT_EQ(st.staged_hits, 0u);  // first pass: every cold id missed
+    const MetricsRegistry& m = store.metrics();
+    EXPECT_EQ(m.counter_value("cold_misses"), cold);
+    EXPECT_GT(m.counter_value("staged_bytes"), 0u);
+    // First pass: every cold id missed.
+    EXPECT_EQ(m.counter_value("staged_hits"), 0u);
     // Promote admission: drained samples landed in the staged set, so a
     // second pass over the same ids is all staged hits, no device reads.
     EXPECT_GT(store.staging()->staged_set().entries(), 0u);
     for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
-    EXPECT_EQ(store.stats().cold_misses, cold);  // unchanged
-    EXPECT_GT(store.stats().staged_hits, 0u);
+    EXPECT_EQ(store.metrics().counter_value("cold_misses"), cold);  // unchanged
+    EXPECT_GT(store.metrics().counter_value("staged_hits"), 0u);
     EXPECT_EQ(store.staging()->inflight(), 0u);
   });
 }
@@ -205,13 +206,14 @@ TEST_F(TieredStoreTest, TransientAdmissionNeverPromotes) {
     cfg.tiered.admission = TierAdmission::Transient;
     DDStore store(c, reader, client, cfg);
     for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
-    const std::uint64_t first_pass = store.stats().cold_misses;
+    const std::uint64_t first_pass =
+        store.metrics().counter_value("cold_misses");
     ASSERT_GT(first_pass, 0u);
     EXPECT_EQ(store.staging()->staged_set().entries(), 0u);
     // Pure streaming: the second pass pays the cold tier again.
     for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
-    EXPECT_EQ(store.stats().cold_misses, 2 * first_pass);
-    EXPECT_EQ(store.stats().staged_hits, 0u);
+    EXPECT_EQ(store.metrics().counter_value("cold_misses"), 2 * first_pass);
+    EXPECT_EQ(store.metrics().counter_value("staged_hits"), 0u);
   });
 }
 
@@ -231,7 +233,9 @@ TEST_F(TieredStoreTest, ShallowQueueBackpressuresAndCostsMore) {
       (void)store.get_batch(ids);
       if (c.rank() == 0) {
         elapsed = c.clock().now() - t0;
-        EXPECT_EQ(store.stats().stage_backpressure_delays > 0, depth == 1)
+        EXPECT_EQ(
+            store.metrics().counter_value("stage_backpressure_delays") > 0,
+            depth == 1)
             << "depth " << depth;
       }
     });
@@ -287,7 +291,7 @@ TEST_F(TieredStoreTest, ResetStatsPreservesStagedSetWarmth) {
     auto client = client_for(c);
     DDStore store(c, reader, client, tiered_config(0.25));
     for (std::uint64_t id = 0; id < kSamples; ++id) (void)store.get_bytes(id);
-    ASSERT_GT(store.stats().cold_misses, 0u);
+    ASSERT_GT(store.metrics().counter_value("cold_misses"), 0u);
     const std::size_t warm_entries = store.staging()->staged_set().entries();
     const auto warm_ids = store.staging()->staged_set().ids_mru_to_lru();
     ASSERT_GT(warm_entries, 0u);
@@ -295,18 +299,18 @@ TEST_F(TieredStoreTest, ResetStatsPreservesStagedSetWarmth) {
     store.reset_stats();
 
     // Tier counters are statistics: zeroed...
-    const auto& st = store.stats();
-    EXPECT_EQ(st.cold_misses, 0u);
-    EXPECT_EQ(st.staged_hits, 0u);
-    EXPECT_EQ(st.staged_bytes, 0u);
-    EXPECT_EQ(st.stage_backpressure_delays, 0u);
+    const MetricsRegistry& m = store.metrics();
+    EXPECT_EQ(m.counter_value("cold_misses"), 0u);
+    EXPECT_EQ(m.counter_value("staged_hits"), 0u);
+    EXPECT_EQ(m.counter_value("staged_bytes"), 0u);
+    EXPECT_EQ(m.counter_value("stage_backpressure_delays"), 0u);
     // ...but the staged set is state, exactly like cache warmth: contents
     // and recency survive, so a staged id hits without a device read.
     EXPECT_EQ(store.staging()->staged_set().entries(), warm_entries);
     EXPECT_EQ(store.staging()->staged_set().ids_mru_to_lru(), warm_ids);
     (void)store.get_bytes(warm_ids.front());
-    EXPECT_EQ(store.stats().staged_hits, 1u);
-    EXPECT_EQ(store.stats().cold_misses, 0u);
+    EXPECT_EQ(store.metrics().counter_value("staged_hits"), 1u);
+    EXPECT_EQ(store.metrics().counter_value("cold_misses"), 0u);
   });
 }
 

@@ -76,8 +76,8 @@ TEST_F(ElasticStoreTest, ReshardSequencePreservesEverySample) {
       EXPECT_EQ(store.group().size(), width);
       expect_byte_identity(store);
     }
-    EXPECT_EQ(store.stats().reshards, 5u);
-    EXPECT_GT(store.stats().reshard_keep_bytes, 0u)
+    EXPECT_EQ(store.metrics().counter_value("reshards"), 5u);
+    EXPECT_GT(store.metrics().counter_value("reshard_keep_bytes"), 0u)
         << "minimal movement must reuse resident bytes somewhere";
     store.fence();
   });
@@ -94,7 +94,7 @@ TEST_F(ElasticStoreTest, SameWidthReshardIsANoOp) {
     DDStore store(c, reader, client, cfg);
     const ReshardPlan plan = reshard(store, 4);
     EXPECT_TRUE(plan.ranks.empty());
-    EXPECT_EQ(store.stats().reshards, 0u);
+    EXPECT_EQ(store.metrics().counter_value("reshards"), 0u);
   });
 }
 
@@ -125,7 +125,7 @@ TEST_F(ElasticStoreTest, CacheStaysValidAcrossReshard) {
     // Keys are sample ids — the warm cache survives the swap and still
     // serves correct bytes under the new striping.
     expect_byte_identity(store);
-    EXPECT_GT(store.stats().cache_hits, 0u);
+    EXPECT_GT(store.metrics().counter_value("cache_hits"), 0u);
   });
 }
 
@@ -153,15 +153,17 @@ TEST_F(ElasticStoreTest, DeadRankIsRebuiltFromItsTwinAndRevived) {
     driver.on_epoch_end(c.clock().now() - t0);
 
     EXPECT_STREQ(driver.last_reason(), "recovering");
-    EXPECT_EQ(store.stats().rank_rebuilds, c.rank() == 2 ? 1u : 0u);
+    EXPECT_EQ(store.metrics().counter_value("rank_rebuilds"),
+              c.rank() == 2 ? 1u : 0u);
     EXPECT_FALSE(store.breaker_open(2));
 
     // Epoch 2: the revived rank serves again — no failovers, no degraded
     // reads, and every byte is still right.
-    const std::uint64_t failovers_before = store.stats().failovers;
+    const std::uint64_t failovers_before =
+        store.metrics().counter_value("failovers");
     expect_byte_identity(store);
-    EXPECT_EQ(store.stats().failovers, failovers_before);
-    EXPECT_EQ(store.stats().degraded_reads, 0u);
+    EXPECT_EQ(store.metrics().counter_value("failovers"), failovers_before);
+    EXPECT_EQ(store.metrics().counter_value("degraded_reads"), 0u);
 
     // Elasticity composes with recovery: reshard after the rebuild and
     // verify the identity once more.
@@ -191,9 +193,9 @@ TEST_F(ElasticStoreTest, SingleReplicaGroupStaysDegradedInsteadOfRebuilding) {
 
     // No sibling group: the driver must leave the store in degraded mode
     // (FS fallback) rather than attempt an impossible rebuild.
-    EXPECT_EQ(store.stats().rank_rebuilds, 0u);
+    EXPECT_EQ(store.metrics().counter_value("rank_rebuilds"), 0u);
     if (c.rank() != 2) {
-      EXPECT_GT(store.stats().degraded_reads, 0u);
+      EXPECT_GT(store.metrics().counter_value("degraded_reads"), 0u);
     }
     store.fence();
   });

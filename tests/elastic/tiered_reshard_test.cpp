@@ -227,8 +227,8 @@ TEST_F(TieredElasticStoreTest, ReshardSequencePreservesEverySample) {
             << "sample " << id << " width " << width;
       }
     }
-    EXPECT_EQ(store.stats().reshards, 3u);
-    EXPECT_GT(store.stats().reshard_cold_stage_bytes, 0u)
+    EXPECT_EQ(store.metrics().counter_value("reshards"), 3u);
+    EXPECT_GT(store.metrics().counter_value("reshard_cold_stage_bytes"), 0u)
         << "some re-striped hot samples must have been cold before";
     store.fence();
   });
