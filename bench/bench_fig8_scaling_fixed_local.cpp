@@ -10,10 +10,17 @@
 // The full sweep reaches the paper's top widths (1536 Summit GPUs, 1024
 // Perlmutter GPUs): every simulated rank is a userspace fiber, so 1024+
 // ranks fit in one process.
-// `--smoke` runs the 1024-rank Perlmutter point alone through one short
-// DDStore epoch (CI's large-N gate).
+// `--smoke` runs one Perlmutter point alone through one short DDStore
+// epoch (CI's large-N gate): 256 nodes (1024 ranks) by default,
+// `--nodes N` for another width, and `--max-rss-mib M` fails the run when
+// the process peaks above M MiB.  It prints the wall time and the
+// process's getrusage totals (peak RSS, minor faults, user and system
+// CPU seconds).
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/harness.hpp"
@@ -63,13 +70,14 @@ void run_machine(const model::MachineConfig& machine,
   }
 }
 
-/// CI large-N gate: 256 Perlmutter nodes = 1024 simulated ranks through
-/// one short DDStore epoch.  Exits non-zero unless the epoch completes
-/// with positive throughput; prints the wall time so CI logs document
-/// the simulator's speed at this scale.
-int run_smoke() {
+/// CI large-N gate: `nodes` Perlmutter nodes through one short DDStore
+/// epoch.  Exits non-zero unless the epoch completes with positive
+/// throughput and, when `max_rss_mib` > 0, the process peaks at or below
+/// it; prints the wall time and getrusage totals so CI logs document the
+/// simulator's speed and footprint at this scale.
+int run_smoke(int nodes, double max_rss_mib) {
   const auto machine = model::perlmutter();
-  const int nranks = 256 * machine.gpus_per_node;  // 1024
+  const int nranks = nodes * machine.gpus_per_node;
   Scenario sc;
   sc.machine = machine;
   sc.kind = datagen::DatasetKind::AisdExDiscrete;
@@ -79,9 +87,9 @@ int run_smoke() {
   sc.num_samples = scaled_samples(nranks, sc.local_batch, /*min_steps=*/2);
   sc.ddstore.charge_replica_preload = false;
 
-  std::printf("# Fig. 8 --smoke: %d ranks (256 Perlmutter nodes), "
+  std::printf("# Fig. 8 --smoke: %d ranks (%d Perlmutter nodes), "
               "%llu samples, one epoch\n",
-              nranks, static_cast<unsigned long long>(sc.num_samples));
+              nranks, nodes, static_cast<unsigned long long>(sc.num_samples));
   const auto t0 = std::chrono::steady_clock::now();
   StagedData data(machine, sc.kind, sc.num_samples, nranks,
                   /*with_pff=*/false);
@@ -89,12 +97,29 @@ int run_smoke() {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const double rss_mib = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
   const double tput = result.mean_throughput();
-  print_row({"gpus", "samples/s", "modeled epoch [s]", "wall [s]"});
+  print_row({"gpus", "samples/s", "modeled epoch [s]", "wall [s]",
+             "peak RSS [MiB]", "minor faults", "user [s]", "sys [s]"});
   print_row({std::to_string(nranks), fmt(tput, 0),
-             fmt(result.epochs.front().epoch_seconds), fmt(wall, 1)});
+             fmt(result.epochs.front().epoch_seconds), fmt(wall, 1),
+             fmt(rss_mib, 0), std::to_string(ru.ru_minflt),
+             fmt(seconds(ru.ru_utime), 2), fmt(seconds(ru.ru_stime), 2)});
   if (!(tput > 0)) {
-    std::fprintf(stderr, "FAIL: 1024-rank epoch produced no throughput\n");
+    std::fprintf(stderr, "FAIL: %d-rank epoch produced no throughput\n",
+                 nranks);
+    return 1;
+  }
+  if (max_rss_mib > 0 && rss_mib > max_rss_mib) {
+    std::fprintf(stderr,
+                 "FAIL: peak RSS %.0f MiB exceeds the %.0f MiB ceiling\n",
+                 rss_mib, max_rss_mib);
     return 1;
   }
   return 0;
@@ -103,8 +128,29 @@ int run_smoke() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool smoke = false;
+  int nodes = 256;
+  double max_rss_mib = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
+      nodes = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--max-rss-mib") == 0 && i + 1 < argc) {
+      max_rss_mib = std::atof(argv[++i]);
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--smoke [--nodes N] [--max-rss-mib M]]\n",
+                   argv[0]);
+      return 2;
+    }
+  }
+  if (smoke) {
+    if (nodes < 1) {
+      std::fprintf(stderr, "--nodes must be at least 1\n");
+      return 2;
+    }
+    return run_smoke(nodes, max_rss_mib);
   }
   run_machine(model::summit(), datagen::DatasetKind::AisdExDiscrete);
   run_machine(model::summit(), datagen::DatasetKind::AisdExSmooth);

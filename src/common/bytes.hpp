@@ -41,8 +41,11 @@ class BinaryWriter {
 
   template <TriviallySerializable T>
   void write(const T& value) {
+    // Byte pushes rather than a range insert: at -O2, GCC 12 misreports
+    // the insert's reallocation path on a small buffer as an overflow
+    // (-Wstringop-overflow).
     const auto* p = reinterpret_cast<const std::byte*>(&value);
-    out_.insert(out_.end(), p, p + sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i) out_.push_back(p[i]);
   }
 
   void write_bytes(ByteSpan bytes) {

@@ -119,6 +119,10 @@ class DDStore {
   /// config.tiered.hot_fraction == 1.0).  Exposes the staged-set LRU and
   /// the in-flight queue depth for tests and diagnostics.
   const fetch::StagingStage* staging() const { return engine_->staging(); }
+  /// The Resilience stage (tests read its per-target records).
+  const fetch::ResilienceStage& resilience() const {
+    return engine_->resilience();
+  }
 
   simmpi::Comm& comm() { return comm_; }
   simmpi::Comm& group() { return group_; }

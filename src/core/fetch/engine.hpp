@@ -84,6 +84,8 @@ class FetchEngine {
     return staging_.has_value() ? &*staging_ : nullptr;
   }
 
+  const ResilienceStage& resilience() const { return resilience_; }
+
   /// Resilience-stage breaker state for one comm-rank target (the elastic
   /// driver's fault-suspect signal and its post-rebuild reset).
   bool breaker_open(int target) const {

@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace dds::core::fetch {
 
+void HealthTracker::throw_out_of_range(std::size_t target) const {
+  throw std::out_of_range("HealthTracker: target " + std::to_string(target) +
+                          " outside [0, " + std::to_string(ntargets_) + ")");
+}
+
 void HealthTracker::observe(std::size_t target, double service_s) {
-  Entry& e = entries_.at(target);
+  Entry& e = touch(target);
   if (e.count == 0) {
     e.ewma = service_s;
     e.ewdev = 0.0;
@@ -23,11 +30,11 @@ void HealthTracker::observe(std::size_t target, double service_s) {
 }
 
 void HealthTracker::penalize(std::size_t target) {
-  entries_.at(target).penalty += params_.penalty_step;
+  touch(target).penalty += params_.penalty_step;
 }
 
 double HealthTracker::score(std::size_t target) const {
-  const Entry& e = entries_.at(target);
+  const Entry& e = entry(target);
   double base = 1.0;
   if (calibrated(e) && e.ewma > 0.0 && std::isfinite(e.best)) {
     base = std::clamp(e.best / e.ewma, 0.0, 1.0);
@@ -36,7 +43,7 @@ double HealthTracker::score(std::size_t target) const {
 }
 
 double HealthTracker::deadline(std::size_t target) const {
-  const Entry& e = entries_.at(target);
+  const Entry& e = entry(target);
   if (!calibrated(e)) return std::numeric_limits<double>::infinity();
   double d = e.ewma + params_.deadline_sigma * e.ewdev;
   if (std::isfinite(e.best)) {

@@ -30,7 +30,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
+
+#include "core/fetch/target_map.hpp"
 
 namespace dds::core::fetch {
 
@@ -119,10 +120,16 @@ struct HealthParams {
   double penalty_decay = 0.9;     ///< penalty multiplier per clean success
 };
 
+/// Records are sparse: a target gets one on its first observe/penalize,
+/// and a target without one reads as fresh (score 1, deadline +infinity,
+/// no observations).  A rank touches a few dozen of the comm's targets per
+/// epoch, so this keeps per-rank memory independent of the comm size.
+/// Every accessor still rejects a target outside [0, ntargets) with
+/// std::out_of_range.
 class HealthTracker {
  public:
   HealthTracker(std::size_t ntargets, const HealthParams& params)
-      : params_(params), entries_(ntargets) {}
+      : params_(params), ntargets_(ntargets) {}
 
   /// Records one successful fetch from `target` that took `service_s`
   /// modeled seconds; successes also decay the failure penalty.
@@ -153,10 +160,16 @@ class HealthTracker {
   double deadline(std::size_t target) const;
 
   std::uint64_t observations(std::size_t target) const {
-    return entries_.at(target).count;
+    return entry(target).count;
   }
 
-  void reset(std::size_t target) { entries_.at(target) = Entry{}; }
+  /// Forgets `target`'s history (a no-op when it has no record).
+  void reset(std::size_t target) {
+    if (Entry* e = entries_.find(checked(target))) *e = Entry{};
+  }
+
+  /// Number of targets holding a record (the tracker's memory footprint).
+  std::size_t tracked() const { return entries_.size(); }
 
  private:
   struct Entry {
@@ -173,8 +186,28 @@ class HealthTracker {
     return e.count >= static_cast<std::uint64_t>(params_.min_observations);
   }
 
+  /// `target` as a TargetMap key; throws std::out_of_range outside
+  /// [0, ntargets).
+  int checked(std::size_t target) const {
+    if (target >= ntargets_) throw_out_of_range(target);
+    return static_cast<int>(target);
+  }
+  [[noreturn]] void throw_out_of_range(std::size_t target) const;
+
+  /// The target's record, or a shared fresh one when it has none.
+  const Entry& entry(std::size_t target) const {
+    static constexpr Entry kFresh{};
+    const Entry* e = entries_.find(checked(target));
+    return e != nullptr ? *e : kFresh;
+  }
+  /// The target's record, created fresh on first write.
+  Entry& touch(std::size_t target) {
+    return entries_.touch(checked(target), Entry{});
+  }
+
   HealthParams params_;
-  std::vector<Entry> entries_;
+  std::size_t ntargets_;
+  TargetMap<Entry> entries_;
 };
 
 }  // namespace dds::core::fetch

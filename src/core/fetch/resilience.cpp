@@ -40,16 +40,12 @@ ResilienceStage::ResilienceStage(const FetchContext& ctx,
                                  RmaTransport& transport)
     : ctx_(&ctx),
       transport_(&transport),
+      fresh_{CircuitBreaker(ctx.config->retry.breaker_threshold,
+                            ctx.config->retry.breaker_cooldown_fetches)},
       health_(static_cast<std::size_t>(ctx.comm->size()),
               health_params(*ctx.config)),
       backoff_rng_(Rng(kBackoffSeed).stream(
-          static_cast<std::uint64_t>(ctx.comm->world_rank()))) {
-  const RetryPolicy& rp = ctx.config->retry;
-  targets_.resize(static_cast<std::size_t>(ctx.comm->size()),
-                  TargetState{CircuitBreaker(rp.breaker_threshold,
-                                             rp.breaker_cooldown_fetches),
-                              0});
-}
+          static_cast<std::uint64_t>(ctx.comm->world_rank()))) {}
 
 bool ResilienceStage::payload_intact(const DataRegistry::Entry& entry,
                                      ByteSpan dst) {
@@ -68,21 +64,22 @@ bool ResilienceStage::payload_intact(const DataRegistry::Entry& entry,
 }
 
 bool ResilienceStage::breaker_open(int target) const {
-  const TargetState& ts = targets_[static_cast<std::size_t>(target)];
-  if (!ts.breaker.open()) return false;
+  const TargetState* ts = targets_.find(target);
+  if (ts == nullptr || !ts->breaker.open()) return false;
   // A rank revived since the breaker last saw it reads as closed — the
   // stale state is wiped on the next fetch's refresh_revival.
   const auto* inj = ctx_->comm->runtime().fault_injector();
   return inj == nullptr ||
          inj->revive_epoch(ctx_->comm->world_rank_of(target)) ==
-             ts.seen_revive_epoch;
+             ts->seen_revive_epoch;
 }
 
 void ResilienceStage::reset_target(int target) {
-  TargetState& ts = state_of(target);
-  ts.breaker.reset();
-  ts.steer_count = 0;
-  health_.reset(static_cast<std::size_t>(target));
+  health_.reset(static_cast<std::size_t>(target));  // range-checks target
+  if (TargetState* ts = targets_.find(target)) {
+    ts->breaker.reset();
+    ts->steer_count = 0;
+  }
 }
 
 void ResilienceStage::refresh_revival(int target) {
@@ -241,7 +238,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     clock.advance_to(std::min(p.done, b.done));
     health_.observe(static_cast<std::size_t>(target), p.done - t0);
     health_.observe(static_cast<std::size_t>(backup), b.done - b_start);
-    state_of(backup).breaker.on_success();
+    breaker_success(backup);
     return Attempt::Primary;
   }
   if (p.delivered) {
@@ -257,7 +254,7 @@ ResilienceStage::Attempt ResilienceStage::attempt_once(
     ++hm->hedge_wins;
     clock.advance_to(b.done);
     health_.observe(static_cast<std::size_t>(backup), b.done - b_start);
-    state_of(backup).breaker.on_success();
+    breaker_success(backup);
     record_failure(target);
     return Attempt::Backup;
   }
@@ -289,7 +286,7 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
   }
 
   for (const int target : order) {
-    if (state_of(target).breaker.should_skip()) {
+    if (breaker_skips(target)) {
       // Breaker open: don't hammer a target that just failed repeatedly.
       // The skip that exhausts the cooldown arms the half-open probe.
       continue;
@@ -318,7 +315,7 @@ void ResilienceStage::fetch(std::uint64_t id, const DataRegistry::Entry& entry,
                                        overhead_scale);
       if (got != Attempt::Failed && payload_intact(entry, ByteSpan(dst))) {
         const int served = got == Attempt::Backup ? backup : target;
-        if (got == Attempt::Primary) state_of(target).breaker.on_success();
+        if (got == Attempt::Primary) breaker_success(target);
         if (served != primary) {
           ++m.failovers;
           if (tracing::EventTracer* tr = ctx_->tracer()) {

@@ -37,6 +37,7 @@
 #include "common/rng.hpp"
 #include "core/fetch/context.hpp"
 #include "core/fetch/health.hpp"
+#include "core/fetch/target_map.hpp"
 #include "core/fetch/transport.hpp"
 
 namespace dds::core::fetch {
@@ -82,6 +83,9 @@ class ResilienceStage {
 
   const HealthTracker& health() const { return health_; }
 
+  /// Number of targets holding a breaker record (see targets_).
+  std::size_t tracked_targets() const { return targets_.size(); }
+
  private:
   /// Per-target (comm rank) breaker state plus the last revival epoch this
   /// stage observed for the rank (injector generation counter).
@@ -100,8 +104,19 @@ class ResilienceStage {
   /// target delivered, or the hedge backup's response won.
   enum class Attempt { Failed, Primary, Backup };
 
-  TargetState& state_of(int target) {
-    return targets_[static_cast<std::size_t>(target)];
+  /// `target`'s record, created fresh (closed breaker) on first touch;
+  /// valid until the next state_of.
+  TargetState& state_of(int target) { return targets_.touch(target, fresh_); }
+
+  /// Breaker consultation and success that create no record: on an
+  /// untouched target's closed breaker both are no-ops, so a fault-free
+  /// run holds no breaker record at all.
+  bool breaker_skips(int target) {
+    TargetState* ts = targets_.find(target);
+    return ts != nullptr && ts->breaker.should_skip();
+  }
+  void breaker_success(int target) {
+    if (TargetState* ts = targets_.find(target)) ts->breaker.on_success();
   }
 
   /// Lazily clears breaker + health state for a target whose rank was
@@ -135,7 +150,10 @@ class ResilienceStage {
 
   const FetchContext* ctx_;
   RmaTransport* transport_;
-  std::vector<TargetState> targets_;
+  TargetState fresh_;  ///< an untouched target's record (closed breaker)
+  /// Sparse like HealthTracker's records: only targets this rank has
+  /// fetched from hold one, and a missing record reads as a fresh one.
+  TargetMap<TargetState> targets_;
   HealthTracker health_;
   /// Backoff jitter draws from a stage-private stream seeded by world
   /// rank, never from the rank's shared Comm RNG: other consumers of that

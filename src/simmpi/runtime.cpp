@@ -42,37 +42,52 @@ void Comm::sync_clocks(std::size_t bytes) {
 }
 
 Comm Comm::split(int color, int key) {
-  struct Entry {
-    int color;
-    int key;
-    int rank;
+  using detail::SplitEntry;
+  const SplitEntry mine{color, key, rank_};
+  deposit(&mine, sizeof(SplitEntry));
+
+  // The last arriver gathers and sorts all N entries once; each rank then
+  // binary-searches its color's range and its own place in it, so set-up
+  // costs O(N log N) per call rather than per rank.
+  const auto by_color = [](const SplitEntry& a, const SplitEntry& b) {
+    return a.color < b.color;
   };
-  const Entry mine{color, key, rank_};
-  deposit(&mine, sizeof(Entry));
+  const auto by_all = [](const SplitEntry& a, const SplitEntry& b) {
+    return std::tie(a.color, a.key, a.rank) < std::tie(b.color, b.key, b.rank);
+  };
+  detail::CommShared& cs = *shared_;
+  std::size_t first = 0;  // my group's range in cs.split_order
+  std::size_t last = 0;
+  std::size_t at = 0;     // my entry in cs.split_order
+  const double start = read_phase(
+      [&] {
+        cs.split_order.resize(static_cast<std::size_t>(size()));
+        for (int r = 0; r < size(); ++r) {
+          std::memcpy(&cs.split_order[static_cast<std::size_t>(r)],
+                      cs.slots[r], sizeof(SplitEntry));
+        }
+        std::sort(cs.split_order.begin(), cs.split_order.end(), by_all);
+      },
+      [&](int) {
+        const auto begin = cs.split_order.begin();
+        const auto range = std::equal_range(begin, cs.split_order.end(),
+                                            mine, by_color);
+        first = static_cast<std::size_t>(range.first - begin);
+        last = static_cast<std::size_t>(range.second - begin);
+        at = static_cast<std::size_t>(
+            std::lower_bound(range.first, range.second, mine, by_all) - begin);
+      });
 
-  std::vector<int> members;       // parent-comm ranks of my group, ordered
-  const double start = read_phase([&](int nranks) {
-    std::vector<Entry> all(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      std::memcpy(&all[static_cast<std::size_t>(r)], shared_->slots[r],
-                  sizeof(Entry));
-    }
-    std::vector<Entry> group;
-    for (const auto& e : all) {
-      if (e.color == color) group.push_back(e);
-    }
-    std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-      return std::tie(a.key, a.rank) < std::tie(b.key, b.rank);
-    });
-    members.reserve(group.size());
-    for (const auto& e : group) members.push_back(e.rank);
-  });
-
-  const int leader = members.front();
+  // The group's first entry leads: it builds the sub-communicator while
+  // cs.split_order is still intact (no peer passes the next barrier).
+  const int leader = cs.split_order[first].rank;
   if (rank_ == leader) {
     std::vector<int> world;
-    world.reserve(members.size());
-    for (int r : members) world.push_back(shared_->world_ranks[static_cast<std::size_t>(r)]);
+    world.reserve(last - first);
+    for (std::size_t i = first; i < last; ++i) {
+      world.push_back(shared_->world_ranks[static_cast<std::size_t>(
+          cs.split_order[i].rank)]);
+    }
     shared_->publish[static_cast<std::size_t>(rank_)] =
         std::make_shared<detail::CommShared>(
             shared_->runtime, std::move(world), shared_->runtime->abort_flag(),
@@ -83,10 +98,8 @@ Comm Comm::split(int color, int key) {
   shared_->barrier.arrive_and_wait();
   if (rank_ == leader) shared_->publish[static_cast<std::size_t>(rank_)].reset();
 
-  finish(start, sizeof(Entry));
-  const auto my_pos = static_cast<int>(
-      std::find(members.begin(), members.end(), rank_) - members.begin());
-  return Comm(std::move(sub), my_pos);
+  finish(start, sizeof(SplitEntry));
+  return Comm(std::move(sub), static_cast<int>(at - first));
 }
 
 std::shared_ptr<void> Comm::share_ptr(

@@ -77,6 +77,13 @@ struct Message {
 /// Per-rank incoming message queue (two-sided communication).
 using Mailbox = std::deque<Message>;
 
+/// One rank's Comm::split arguments.
+struct SplitEntry {
+  int color;
+  int key;
+  int rank;  ///< in the parent comm
+};
+
 /// State shared by all member ranks of one communicator.
 struct CommShared {
   CommShared(Runtime* rt, std::vector<int> world, AbortFlag& abort,
@@ -103,6 +110,9 @@ struct CommShared {
   double start = 0.0;  ///< current collective's start (see read_phase)
   ByteBuffer reduced;  ///< current allreduce's result (see reduce_phase)
   std::vector<std::shared_ptr<CommShared>> publish;  ///< for split()
+  /// split()'s entries sorted by (color, key, rank), built once per call
+  /// by the last arriver; valid until the call's next barrier.
+  std::vector<SplitEntry> split_order;
   std::vector<std::shared_ptr<void>> any_publish;    ///< for Window::create
 };
 

@@ -1,48 +1,59 @@
 #include "simmpi/window.hpp"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace dds::simmpi {
 
 Window::Window(Comm& comm, MutableByteSpan local,
                std::shared_ptr<const void> keepalive)
-    : comm_(comm), held_(static_cast<std::size_t>(comm.size()),
-                         HeldLock::None) {
+    : comm_(comm) {
   auto& cs = *comm_.shared_;
-  const auto me = static_cast<std::size_t>(comm_.rank());
 
   // Registration (MPI_Win_create) is collective: exchange region pointers.
   // deposit_raw, not deposit: the slots must carry the real region
-  // addresses, not a snapshot copy.
+  // addresses, not a snapshot copy.  The last arriver builds the shared
+  // region table once and publishes it on rank 0's slot.
   comm_.deposit_raw(local.data(), local.size());
-  cs.barrier.arrive_and_wait();
-  double start = 0.0;
-  for (double t : cs.clock_slots) start = std::max(start, t);
-  if (comm_.rank() == 0) {
-    auto ws = std::make_shared<detail::WindowShared>(
-        static_cast<std::size_t>(comm_.size()));
-    for (int r = 0; r < comm_.size(); ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      ws->regions[ri] = MutableByteSpan(
-          static_cast<std::byte*>(const_cast<void*>(cs.slots[ri])),
-          cs.size_slots[ri]);
-    }
-    cs.any_publish[0] = ws;
-  }
-  cs.barrier.arrive_and_wait();
+  const double start = comm_.read_phase(
+      [&] {
+        auto ws = std::make_shared<detail::WindowShared>(
+            static_cast<std::size_t>(comm_.size()));
+        for (int r = 0; r < comm_.size(); ++r) {
+          const auto ri = static_cast<std::size_t>(r);
+          ws->regions[ri] = MutableByteSpan(
+              static_cast<std::byte*>(const_cast<void*>(cs.slots[ri])),
+              cs.size_slots[ri]);
+        }
+        cs.any_publish[0] = std::move(ws);
+      },
+      [](int) {});
   shared_ = std::static_pointer_cast<detail::WindowShared>(cs.any_publish[0]);
-  shared_->keepalives[me] = std::move(keepalive);
+  shared_->keepalives[static_cast<std::size_t>(comm_.rank())] =
+      std::move(keepalive);
+  // Every member has picked up the table before rank 0 drops the slot.
   cs.barrier.arrive_and_wait();
   if (comm_.rank() == 0) cs.any_publish[0].reset();
 
   comm_.finish(start, sizeof(void*));
 }
 
+Window::HeldLock Window::held(int target) const {
+  if (target < 0 || target >= comm_.size()) {
+    throw std::out_of_range("Window: target " + std::to_string(target) +
+                            " outside the communicator");
+  }
+  for (const Epoch& e : held_) {
+    if (e.target == target) return e.type;
+  }
+  return HeldLock::None;
+}
+
 void Window::lock(int target, LockType type) {
-  const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) == HeldLock::None,
+  DDS_CHECK_MSG(held(target) == HeldLock::None,
                 "lock epoch already active on this target");
-  detail::RegionLock& rl = shared_->locks[t];
+  detail::RegionLock& rl = shared_->locks[static_cast<std::size_t>(target)];
   // Park the rank until the region is available; the abort clause keeps a
   // rank from being parked forever behind a holder that unwound.
   FiberScheduler& sched = *comm_.runtime().fiber_scheduler();
@@ -51,13 +62,13 @@ void Window::lock(int target, LockType type) {
     sched.yield_until([&] { return abort.raised() || !rl.writer; });
     if (rl.writer) throw AbortedError();  // woken by abort, still held
     ++rl.readers;
-    held_[t] = HeldLock::Shared;
+    held_.push_back({target, HeldLock::Shared});
   } else {
     sched.yield_until(
         [&] { return abort.raised() || (!rl.writer && rl.readers == 0); });
     if (rl.writer || rl.readers != 0) throw AbortedError();
     rl.writer = true;
-    held_[t] = HeldLock::Exclusive;
+    held_.push_back({target, HeldLock::Exclusive});
   }
   // Timing of lock/unlock is folded into the per-access RMA overhead in
   // NetworkModel (rma_remote_overhead_s), matching how the paper reports a
@@ -72,9 +83,9 @@ void Window::lock(int target, LockType type) {
 }
 
 void Window::unlock(int target) {
-  const auto t = static_cast<std::size_t>(target);
-  detail::RegionLock& rl = shared_->locks[t];
-  switch (held_.at(t)) {
+  const HeldLock type = held(target);
+  detail::RegionLock& rl = shared_->locks[static_cast<std::size_t>(target)];
+  switch (type) {
     case HeldLock::Shared:
       --rl.readers;  // a parked writer's predicate turns true
       break;
@@ -84,7 +95,8 @@ void Window::unlock(int target) {
     case HeldLock::None:
       throw InternalError("unlock without a matching lock");
   }
-  held_[t] = HeldLock::None;
+  std::erase_if(held_,
+                [target](const Epoch& e) { return e.target == target; });
   if (tracing::EventTracer* tr = comm_.tracer()) {
     tracing::EventArgs args;
     args.target = comm_.world_rank_of(target);
@@ -107,8 +119,7 @@ void Window::check_bounds(int target, std::size_t offset,
 void Window::get(MutableByteSpan dst, int target, std::size_t offset,
                  std::uint64_t charge_bytes, double overhead_scale) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) != HeldLock::None,
-                "get outside a lock epoch");
+  DDS_CHECK_MSG(held(target) != HeldLock::None, "get outside a lock epoch");
   check_bounds(target, offset, dst.size());
 
   const auto& region = shared_->regions[t];
@@ -133,7 +144,7 @@ double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
                       double start, std::uint64_t charge_bytes,
                       double overhead_scale) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) != HeldLock::None, "get outside a lock epoch");
+  DDS_CHECK_MSG(held(target) != HeldLock::None, "get outside a lock epoch");
   check_bounds(target, offset, dst.size());
 
   const auto& region = shared_->regions[t];
@@ -154,7 +165,7 @@ double Window::get_at(MutableByteSpan dst, int target, std::size_t offset,
 void Window::getv(std::span<const GetSegment> segments, int target,
                   std::uint64_t charge_bytes, double overhead_scale) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) != HeldLock::None, "getv outside a lock epoch");
+  DDS_CHECK_MSG(held(target) != HeldLock::None, "getv outside a lock epoch");
   DDS_CHECK_MSG(!segments.empty(), "getv with no segments");
   std::uint64_t total = 0;
   for (const auto& seg : segments) {
@@ -184,7 +195,7 @@ void Window::getv(std::span<const GetSegment> segments, int target,
 
 void Window::put(ByteSpan src, int target, std::size_t offset) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) == HeldLock::Exclusive,
+  DDS_CHECK_MSG(held(target) == HeldLock::Exclusive,
                 "put requires an exclusive lock epoch");
   check_bounds(target, offset, src.size());
   auto& region = shared_->regions[t];
@@ -208,7 +219,7 @@ void Window::put(ByteSpan src, int target, std::size_t offset) {
 void Window::accumulate_add(std::span<const double> src, int target,
                             std::size_t offset) {
   const auto t = static_cast<std::size_t>(target);
-  DDS_CHECK_MSG(held_.at(t) == HeldLock::Exclusive,
+  DDS_CHECK_MSG(held(target) == HeldLock::Exclusive,
                 "accumulate requires an exclusive lock epoch");
   const std::size_t bytes = src.size() * sizeof(double);
   check_bounds(target, offset, bytes);
@@ -233,10 +244,7 @@ void Window::accumulate_add(std::span<const double> src, int target,
 }
 
 void Window::fence() {
-  for (std::size_t t = 0; t < held_.size(); ++t) {
-    DDS_CHECK_MSG(held_[t] == HeldLock::None,
-                  "fence with an open lock epoch");
-  }
+  DDS_CHECK_MSG(held_.empty(), "fence with an open lock epoch");
   const double trace_t0 = comm_.clock().now();
   comm_.sync_clocks(0);
   if (tracing::EventTracer* tr = comm_.tracer()) {

@@ -142,11 +142,23 @@ class Window {
  private:
   enum class HeldLock : std::uint8_t { None = 0, Shared = 1, Exclusive = 2 };
 
+  /// One access epoch this rank holds open.
+  struct Epoch {
+    int target;
+    HeldLock type;
+  };
+
+  /// This rank's epoch state on `target` (None when it holds none);
+  /// throws std::out_of_range for a target outside the communicator.
+  HeldLock held(int target) const;
+
   void check_bounds(int target, std::size_t offset, std::size_t len) const;
 
   Comm comm_;
   std::shared_ptr<detail::WindowShared> shared_;
-  std::vector<HeldLock> held_;  ///< this rank's epoch state per target
+  /// The few epochs this rank holds open at once (a batch target, a
+  /// failover or hedge twin), so a scan beats a table sized by the comm.
+  std::vector<Epoch> held_;
 };
 
 }  // namespace dds::simmpi

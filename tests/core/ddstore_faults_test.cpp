@@ -3,6 +3,9 @@
 // all of it (same seed => same fault counts, any seed => correct bytes).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/ddstore.hpp"
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
@@ -101,6 +104,40 @@ TEST_F(DDStoreFaultsTest, FaultFreeRunKeepsResilienceCountersAtZero) {
     EXPECT_EQ(m.counter_value("degraded_reads"), 0u);
     EXPECT_EQ(m.counter_value("breaker_trips"), 0u);
     EXPECT_EQ(store.stats().preload_retries, 0u);
+  });
+}
+
+TEST_F(DDStoreFaultsTest, UntouchedTargetsReadHealthyAndHoldNoRecord) {
+  constexpr int kRanks = 4;
+  simmpi::Runtime rt(kRanks, machine_);
+  // Armed but fault-free, so candidate ordering runs its revival check.
+  rt.set_fault_injector(
+      std::make_shared<faults::FaultInjector>(faults::FaultConfig{}, kRanks));
+  const auto reader = cff_reader();
+  rt.run([&](simmpi::Comm& c) {
+    auto client = client_for(c);
+    DDStoreConfig cfg;
+    cfg.width = kRanks;
+    DDStore store(c, reader, client, cfg);
+    const fetch::ResilienceStage& res = store.resilience();
+    for (int t = 0; t < kRanks; ++t) {
+      EXPECT_DOUBLE_EQ(store.health_score(t), 1.0);
+      EXPECT_FALSE(store.breaker_open(t));
+      EXPECT_EQ(res.health().deadline(static_cast<std::size_t>(t)),
+                std::numeric_limits<double>::infinity());
+      store.reset_target_health(t);  // no-op on an untouched target
+    }
+    EXPECT_EQ(res.tracked_targets(), 0u);
+    EXPECT_EQ(res.health().tracked(), 0u);
+    EXPECT_THROW(store.health_score(kRanks), std::out_of_range);
+    EXPECT_THROW(store.health_score(-1), std::out_of_range);
+    EXPECT_THROW(store.reset_target_health(kRanks), std::out_of_range);
+
+    // One fetch touches exactly its owner.
+    (void)store.get(0);
+    EXPECT_EQ(res.tracked_targets(), 1u);
+    EXPECT_EQ(res.health().tracked(), 1u);
+    c.barrier();
   });
 }
 

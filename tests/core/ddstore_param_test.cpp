@@ -79,11 +79,16 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Config>& info) {
       // No structured bindings here: their bracketed name list confuses
       // macro argument splitting inside INSTANTIATE_TEST_SUITE_P.
-      return "n" + std::to_string(std::get<0>(info.param)) + "w" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) == Placement::Block ? "Block" : "RR") +
-             (std::get<3>(info.param) == CommMode::OneSidedRma ? "Rma"
-                                                               : "TwoSided");
+      // Appended piecewise: GCC 12's -Wrestrict misfires on
+      // `"literal" + std::to_string(...)` in optimized builds.
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "w";
+      name += std::to_string(std::get<1>(info.param));
+      name += std::get<2>(info.param) == Placement::Block ? "Block" : "RR";
+      name += std::get<3>(info.param) == CommMode::OneSidedRma ? "Rma"
+                                                               : "TwoSided";
+      return name;
     });
 
 }  // namespace

@@ -9,6 +9,10 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <utility>
+
+#include "core/fetch/target_map.hpp"
 
 namespace dds::core::fetch {
 namespace {
@@ -93,6 +97,27 @@ TEST(CircuitBreaker, ResetClosesAndClearsHistory) {
   b.reset();
   EXPECT_EQ(b.state(), CircuitBreaker::State::Closed);
   EXPECT_FALSE(b.should_skip());
+}
+
+// ------------------------------------------------------------- target map
+
+TEST(TargetMap, FindsEveryTouchedTargetAcrossGrowth) {
+  TargetMap<int> m;
+  EXPECT_EQ(m.find(0), nullptr);
+  // Scattered targets, touched twice: the second touch keeps the value.
+  for (int i = 0; i < 3000; ++i) m.touch(i * 7 % 4099, i);
+  for (int i = 0; i < 3000; ++i) EXPECT_EQ(m.touch(i * 7 % 4099, -1), i);
+  EXPECT_EQ(m.size(), 3000u);
+  for (int i = 0; i < 3000; ++i) {
+    const int* v = std::as_const(m).find(i * 7 % 4099);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(*v, i);
+  }
+  int missing = 0;
+  for (int t = 0; t < 4099; ++t) missing += m.find(t) == nullptr ? 1 : 0;
+  EXPECT_EQ(missing, 4099 - 3000);
+  *m.find(14) = 99;  // records are mutable in place
+  EXPECT_EQ(m.touch(14, 0), 99);
 }
 
 // ---------------------------------------------------------------- tracker
@@ -220,6 +245,38 @@ TEST(HealthTracker, ResetForgetsOneTargetOnly) {
   EXPECT_EQ(t.deadline(0), kInf);  // back to uncalibrated
   EXPECT_EQ(t.observations(0), 0u);
   EXPECT_DOUBLE_EQ(t.score(1), 0.5);  // untouched
+}
+
+TEST(HealthTracker, UntouchedTargetsReadFreshWithoutARecord) {
+  HealthTracker t(4096, test_params());
+  for (std::size_t i = 0; i < 4096; ++i) {
+    EXPECT_DOUBLE_EQ(t.score(i), 1.0);
+    EXPECT_FALSE(t.quarantined(i));
+    EXPECT_EQ(t.deadline(i), kInf);
+    EXPECT_EQ(t.observations(i), 0u);
+  }
+  t.reset(17);  // forgetting an untouched target is a no-op
+  EXPECT_EQ(t.tracked(), 0u);
+  // Writes create exactly one record per touched target.
+  t.observe(3, 100e-6);
+  t.penalize(3);
+  t.penalize(900);
+  EXPECT_EQ(t.tracked(), 2u);
+  t.reset(900);  // resets the record in place
+  EXPECT_EQ(t.tracked(), 2u);
+  EXPECT_DOUBLE_EQ(t.score(900), 1.0);
+  EXPECT_EQ(t.observations(3), 1u);
+}
+
+TEST(HealthTracker, OutOfRangeTargetsThrow) {
+  HealthTracker t(4, test_params());
+  EXPECT_THROW(t.score(4), std::out_of_range);
+  EXPECT_THROW(t.deadline(4), std::out_of_range);
+  EXPECT_THROW(t.observations(4), std::out_of_range);
+  EXPECT_THROW(t.observe(4, 1e-4), std::out_of_range);
+  EXPECT_THROW(t.penalize(4), std::out_of_range);
+  EXPECT_THROW(t.reset(4), std::out_of_range);
+  EXPECT_EQ(t.tracked(), 0u);
 }
 
 }  // namespace

@@ -14,6 +14,14 @@ using model::test_machine;
 
 ByteBuffer blob(std::size_t n) { return ByteBuffer(n, std::byte{0x5a}); }
 
+/// "f<i>", appended rather than `"f" + std::to_string(i)`: GCC 12's
+/// -Wrestrict misfires on that form in optimized builds.
+std::string file_name(int i) {
+  std::string name = "f";
+  name += std::to_string(i);
+  return name;
+}
+
 /// Closed-loop PFF-style load: `nranks` clients each opening+reading small
 /// files back to back for `ops` iterations; returns mean per-op latency.
 double closed_loop_pff_latency(int nranks, int ops) {
@@ -21,7 +29,7 @@ double closed_loop_pff_latency(int nranks, int ops) {
   machine.fs.mds_occupancy_s = 100e-6;  // exaggerate for a visible knee
   ParallelFileSystem pfs(machine.fs, machine.nodes_for_ranks(nranks));
   for (int i = 0; i < 64; ++i) {
-    pfs.write_file("f" + std::to_string(i), ByteSpan(blob(100)));
+    pfs.write_file(file_name(i), ByteSpan(blob(100)));
   }
   RunningStats lat;
   simmpi::Runtime rt(nranks, machine);
@@ -33,7 +41,7 @@ double closed_loop_pff_latency(int nranks, int ops) {
       // Keep clocks loosely aligned (the BusyResource skew contract).
       if (i % 8 == 0) c.barrier();
       const double t0 = c.clock().now();
-      (void)client.read_file("f" + std::to_string((i * 7 + c.rank()) % 64));
+      (void)client.read_file(file_name((i * 7 + c.rank()) % 64));
       mine.add(c.clock().now() - t0);
     }
     lat.merge(mine);

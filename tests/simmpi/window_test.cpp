@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 #include "simmpi/window.hpp"
 
@@ -316,6 +317,30 @@ TEST(Window, FenceWithOpenEpochThrows) {
                  win.fence();
                }),
                InternalError);
+}
+
+TEST(Window, EpochsAreTrackedPerTarget) {
+  Runtime rt(3, test_machine());
+  rt.run([](Comm& c) {
+    ByteBuffer local = pattern_buffer(c.rank(), 8);
+    Window win(c, MutableByteSpan(local));
+    ByteBuffer dst(8);
+    win.lock(0, LockType::Shared);
+    win.lock(2, LockType::Shared);
+    EXPECT_THROW(win.lock(0, LockType::Shared), InternalError);
+    win.unlock(0);
+    // Closing target 0's epoch leaves target 2's open.
+    EXPECT_THROW(win.get(MutableByteSpan(dst), 0, 0), InternalError);
+    win.get(MutableByteSpan(dst), 2, 0);
+    EXPECT_EQ(dst, pattern_buffer(2, 8));
+    EXPECT_THROW(win.unlock(1), InternalError);
+    EXPECT_THROW(win.fence(), InternalError);
+    // Targets outside the communicator are rejected, as before.
+    EXPECT_THROW(win.lock(3, LockType::Shared), std::out_of_range);
+    EXPECT_THROW(win.get(MutableByteSpan(dst), -1, 0), std::out_of_range);
+    win.unlock(2);
+    win.fence();
+  });
 }
 
 TEST(Window, FreeIsCollectiveAndIdempotentPerWindow) {
