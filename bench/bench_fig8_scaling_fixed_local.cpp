@@ -12,8 +12,9 @@
 // ranks fit in one process.
 // `--smoke` runs one Perlmutter point alone through one short DDStore
 // epoch (CI's large-N gate): 256 nodes (1024 ranks) by default,
-// `--nodes N` for another width, and `--max-rss-mib M` fails the run when
-// the process peaks above M MiB.  It prints the wall time and the
+// `--nodes N` for another width; `--max-rss-mib M` fails the run when
+// the process peaks above M MiB, and `--max-minflt F` when it takes more
+// than F minor page faults.  It prints the wall time and the
 // process's getrusage totals (peak RSS, minor faults, user and system
 // CPU seconds).
 #include <sys/resource.h>
@@ -72,10 +73,11 @@ void run_machine(const model::MachineConfig& machine,
 
 /// CI large-N gate: `nodes` Perlmutter nodes through one short DDStore
 /// epoch.  Exits non-zero unless the epoch completes with positive
-/// throughput and, when `max_rss_mib` > 0, the process peaks at or below
-/// it; prints the wall time and getrusage totals so CI logs document the
+/// throughput and the process stays within each ceiling that is set
+/// (`max_rss_mib` > 0 for peak RSS, `max_minflt` > 0 for minor faults);
+/// prints the wall time and getrusage totals so CI logs document the
 /// simulator's speed and footprint at this scale.
-int run_smoke(int nodes, double max_rss_mib) {
+int run_smoke(int nodes, double max_rss_mib, long max_minflt) {
   const auto machine = model::perlmutter();
   const int nranks = nodes * machine.gpus_per_node;
   Scenario sc;
@@ -122,6 +124,12 @@ int run_smoke(int nodes, double max_rss_mib) {
                  rss_mib, max_rss_mib);
     return 1;
   }
+  if (max_minflt > 0 && ru.ru_minflt > max_minflt) {
+    std::fprintf(stderr,
+                 "FAIL: %ld minor faults exceed the %ld-fault ceiling\n",
+                 ru.ru_minflt, max_minflt);
+    return 1;
+  }
   return 0;
 }
 
@@ -131,6 +139,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   int nodes = 256;
   double max_rss_mib = 0;
+  long max_minflt = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -138,9 +147,12 @@ int main(int argc, char** argv) {
       nodes = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--max-rss-mib") == 0 && i + 1 < argc) {
       max_rss_mib = std::atof(argv[++i]);
+    } else if (std::strcmp(argv[i], "--max-minflt") == 0 && i + 1 < argc) {
+      max_minflt = std::atol(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke [--nodes N] [--max-rss-mib M]]\n",
+                   "usage: %s [--smoke [--nodes N] [--max-rss-mib M] "
+                   "[--max-minflt F]]\n",
                    argv[0]);
       return 2;
     }
@@ -150,7 +162,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--nodes must be at least 1\n");
       return 2;
     }
-    return run_smoke(nodes, max_rss_mib);
+    return run_smoke(nodes, max_rss_mib, max_minflt);
   }
   run_machine(model::summit(), datagen::DatasetKind::AisdExDiscrete);
   run_machine(model::summit(), datagen::DatasetKind::AisdExSmooth);

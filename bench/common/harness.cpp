@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "sched/sampler.hpp"
 
@@ -17,10 +18,10 @@ void stage_pff_from_cff(fs::ParallelFileSystem& fs,
                         const std::string& prefix,
                         std::uint64_t nominal_sample_bytes) {
   for (std::uint64_t i = 0; i < cff.num_samples(); ++i) {
-    const ByteBuffer bytes = cff.read_bytes_raw(i);
+    ByteBuffer bytes = cff.read_bytes_raw(i);
     const std::uint64_t nominal =
         std::max<std::uint64_t>(nominal_sample_bytes, bytes.size());
-    fs.write_file(formats::PffWriter::sample_path(prefix, i), ByteSpan(bytes),
+    fs.write_file(formats::PffWriter::sample_path(prefix, i), std::move(bytes),
                   nominal);
   }
 }

@@ -1,5 +1,6 @@
 #include "core/ddstore.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -38,11 +39,21 @@ ChunkData preload_chunk(const formats::SampleReader& reader,
                         fs::FsClient& fs_client,
                         const std::vector<std::uint64_t>& ids,
                         std::uint64_t& retries) {
+  // Read each sample once, then assemble the chunk in one allocation at its
+  // final size, releasing each read as soon as it is copied in.
+  std::vector<ByteBuffer> reads;
+  reads.reserve(ids.size());
+  std::size_t total = 0;
+  for (const std::uint64_t id : ids) {
+    reads.push_back(read_with_retry(reader, fs_client, id, retries));
+    total += reads.back().size();
+  }
   ChunkData chunk;
+  chunk.bytes.reserve(total);
   chunk.lengths.reserve(ids.size());
   chunk.checksums.reserve(ids.size());
-  for (const std::uint64_t id : ids) {
-    const ByteBuffer bytes = read_with_retry(reader, fs_client, id, retries);
+  for (ByteBuffer& read : reads) {
+    const ByteBuffer bytes = std::move(read);
     chunk.lengths.push_back(static_cast<std::uint32_t>(bytes.size()));
     chunk.checksums.push_back(checksum64(ByteSpan(bytes)));
     chunk.bytes.insert(chunk.bytes.end(), bytes.begin(), bytes.end());

@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace dds::formats {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x4646'4344;  // "DCFF"
 constexpr std::uint16_t kVersion = 1;
+/// magic | version | count | first_global_index
+constexpr std::uint64_t kHeaderBytes = sizeof(std::uint32_t) +
+                                       sizeof(std::uint16_t) +
+                                       2 * sizeof(std::uint64_t);
+/// One index entry: offset | length.
+constexpr std::uint64_t kIndexEntryBytes = 2 * sizeof(std::uint64_t);
 }  // namespace
 
 std::string CffWriter::subfile_path(const std::string& prefix,
@@ -20,28 +27,34 @@ std::string CffWriter::subfile_path(const std::string& prefix,
 ByteBuffer CffWriter::build_subfile(const datagen::SyntheticDataset& dataset,
                                     std::uint64_t first, std::uint64_t last) {
   const std::uint64_t count = last - first;
-  // Serialize the range first to learn blob sizes.
-  std::vector<ByteBuffer> blobs;
-  blobs.reserve(count);
+  // Make the range once; its serialized sizes fix the whole layout, so the
+  // container is allocated once at its final size and written in place.
+  std::vector<graph::GraphSample> samples;
+  std::vector<std::uint64_t> lengths;
+  samples.reserve(count);
+  lengths.reserve(count);
+  std::uint64_t size = kHeaderBytes + count * kIndexEntryBytes;
   for (std::uint64_t i = first; i < last; ++i) {
-    blobs.push_back(dataset.make(i).to_bytes());
+    samples.push_back(dataset.make(i));
+    lengths.push_back(samples.back().serialized_size());
+    size += lengths.back();
   }
 
   ByteBuffer file;
+  file.reserve(size);
   BinaryWriter w(file);
   w.write(kMagic);
   w.write(kVersion);
   w.write(count);
   w.write(first);
-  std::uint64_t offset = file.size() + count * 2 * sizeof(std::uint64_t);
-  for (const auto& blob : blobs) {
+  std::uint64_t offset = kHeaderBytes + count * kIndexEntryBytes;
+  for (const std::uint64_t length : lengths) {
     w.write<std::uint64_t>(offset);
-    w.write<std::uint64_t>(blob.size());
-    offset += blob.size();
+    w.write<std::uint64_t>(length);
+    offset += length;
   }
-  for (const auto& blob : blobs) {
-    w.write_bytes(ByteSpan(blob));
-  }
+  for (const auto& sample : samples) sample.serialize(file);
+  DDS_CHECK(file.size() == size);
   return file;
 }
 
@@ -57,13 +70,12 @@ void CffWriter::stage(fs::ParallelFileSystem& fs, const std::string& prefix,
   for (std::uint32_t sf = 0; sf < nsubfiles; ++sf) {
     const std::uint64_t first = n * sf / nsubfiles;
     const std::uint64_t last = n * (sf + 1) / nsubfiles;  // exclusive
-    const ByteBuffer file = build_subfile(dataset, first, last);
+    ByteBuffer file = build_subfile(dataset, first, last);
     const std::uint64_t header_and_index =
-        sizeof(std::uint32_t) + sizeof(std::uint16_t) +
-        2 * sizeof(std::uint64_t) + (last - first) * 2 * sizeof(std::uint64_t);
+        kHeaderBytes + (last - first) * kIndexEntryBytes;
     const std::uint64_t nominal_size = std::max<std::uint64_t>(
         nominal_per_sample * (last - first) + header_and_index, file.size());
-    fs.write_file(subfile_path(prefix, sf), ByteSpan(file), nominal_size);
+    fs.write_file(subfile_path(prefix, sf), std::move(file), nominal_size);
   }
 }
 
@@ -78,13 +90,13 @@ void CffWriter::stage_parallel(simmpi::Comm& comm, fs::FsClient& client,
   const std::uint64_t first = n * rank / nranks;
   const std::uint64_t last = n * (rank + 1) / nranks;
 
-  const ByteBuffer file = build_subfile(dataset, first, last);
+  ByteBuffer file = build_subfile(dataset, first, last);
   const std::uint64_t nominal_size = std::max<std::uint64_t>(
       dataset.spec().nominal_cff_sample_bytes() * (last - first) +
-          (last - first) * 2 * sizeof(std::uint64_t),
+          (last - first) * kIndexEntryBytes,
       file.size());
   fs.write_file(subfile_path(prefix, static_cast<std::uint32_t>(rank)),
-                ByteSpan(file), nominal_size);
+                std::move(file), nominal_size);
   // Charge the write: nominal bytes through the FS write path.
   client.clock().advance(static_cast<double>(nominal_size) /
                          fs.params().write_bandwidth_Bps);
@@ -103,8 +115,12 @@ CffReader::CffReader(fs::ParallelFileSystem& fs, std::string prefix,
     throw IoError("CffReader: no container subfiles under " + prefix_);
   }
   for (const auto& path : paths) {
-    const ByteBuffer raw = fs.read_file_raw(path);
-    BinaryReader r{ByteSpan(raw)};
+    Subfile sf;
+    sf.path = path;
+    // Parse the index in place, from the FS object itself.
+    sf.ref = fs.make_ref(path);
+    const ByteSpan raw(*sf.ref.payload);
+    BinaryReader r{raw};
     const auto magic = r.read<std::uint32_t>();
     if (magic != kMagic) {
       throw DataError("CffReader: bad magic in " + path);
@@ -113,11 +129,11 @@ CffReader::CffReader(fs::ParallelFileSystem& fs, std::string prefix,
     if (version != kVersion) {
       throw DataError("CffReader: unsupported version in " + path);
     }
-    Subfile sf;
-    sf.path = path;
-    sf.ref = fs.make_ref(path);
     const auto count = r.read<std::uint64_t>();
     sf.first_index = r.read<std::uint64_t>();
+    if (count > r.remaining() / kIndexEntryBytes) {
+      throw DataError("CffReader: index overruns the file in " + path);
+    }
     sf.offsets.reserve(count);
     sf.lengths.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -125,9 +141,11 @@ CffReader::CffReader(fs::ParallelFileSystem& fs, std::string prefix,
       sf.lengths.push_back(r.read<std::uint64_t>());
     }
     sf.index_region_bytes = r.position();
-    // Validate that blob ranges lie within the file.
+    // Validate that blob ranges lie within the file (compared without
+    // adding, so a corrupt offset cannot wrap into range).
     for (std::uint64_t i = 0; i < count; ++i) {
-      if (sf.offsets[i] + sf.lengths[i] > raw.size()) {
+      if (sf.lengths[i] > raw.size() ||
+          sf.offsets[i] > raw.size() - sf.lengths[i]) {
         throw DataError("CffReader: corrupt index in " + path);
       }
     }

@@ -1,10 +1,22 @@
 #include "formats/h5f.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace dds::formats {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x4c35'4844;  // "DH5L"
 constexpr std::uint16_t kVersion = 1;
+/// magic | version | samples_per_chunk | num_samples | num_chunks
+constexpr std::uint64_t kHeaderBytes = sizeof(std::uint32_t) +
+                                       sizeof(std::uint16_t) +
+                                       sizeof(std::uint32_t) +
+                                       2 * sizeof(std::uint64_t);
+/// One chunk-table entry: offset | length | first_sample.
+constexpr std::uint64_t kChunkEntryBytes = 3 * sizeof(std::uint64_t);
+/// One per-chunk sample entry: rel_offset | length.
+constexpr std::uint64_t kSampleEntryBytes = 2 * sizeof(std::uint64_t);
 }  // namespace
 
 void H5fWriter::stage(fs::ParallelFileSystem& fs, const std::string& path,
@@ -14,52 +26,68 @@ void H5fWriter::stage(fs::ParallelFileSystem& fs, const std::string& path,
   const std::uint64_t n = dataset.size();
   const std::uint64_t num_chunks =
       (n + samples_per_chunk - 1) / samples_per_chunk;
+  const auto chunk_first = [&](std::uint64_t c) {
+    return c * samples_per_chunk;
+  };
+  const auto chunk_last = [&](std::uint64_t c) {
+    return std::min(n, chunk_first(c) + samples_per_chunk);
+  };
 
-  // Serialize chunk payloads first to learn their sizes.
-  std::vector<ByteBuffer> chunks;
-  std::vector<std::uint64_t> first_sample;
-  chunks.reserve(num_chunks);
+  // Make every sample once; the serialized sizes fix every chunk's size,
+  // so the container is allocated once at its final size and written in
+  // place.
+  std::vector<graph::GraphSample> samples;
+  std::vector<std::uint64_t> lengths;
+  samples.reserve(n);
+  lengths.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    samples.push_back(dataset.make(i));
+    lengths.push_back(samples.back().serialized_size());
+  }
+  std::vector<std::uint64_t> chunk_bytes(num_chunks);
+  std::uint64_t size = kHeaderBytes + num_chunks * kChunkEntryBytes;
   for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    const std::uint64_t first = c * samples_per_chunk;
-    const std::uint64_t last = std::min(n, first + samples_per_chunk);
-    std::vector<ByteBuffer> blobs;
-    for (std::uint64_t i = first; i < last; ++i) {
-      blobs.push_back(dataset.make(i).to_bytes());
+    chunk_bytes[c] = sizeof(std::uint32_t) +
+                     (chunk_last(c) - chunk_first(c)) * kSampleEntryBytes;
+    for (std::uint64_t i = chunk_first(c); i < chunk_last(c); ++i) {
+      chunk_bytes[c] += lengths[i];
     }
-    ByteBuffer chunk;
-    BinaryWriter w(chunk);
-    w.write<std::uint32_t>(static_cast<std::uint32_t>(blobs.size()));
-    std::uint64_t rel = sizeof(std::uint32_t) +
-                        blobs.size() * 2 * sizeof(std::uint64_t);
-    for (const auto& b : blobs) {
-      w.write<std::uint64_t>(rel);
-      w.write<std::uint64_t>(b.size());
-      rel += b.size();
-    }
-    for (const auto& b : blobs) w.write_bytes(ByteSpan(b));
-    chunks.push_back(std::move(chunk));
-    first_sample.push_back(first);
+    size += chunk_bytes[c];
   }
 
   ByteBuffer file;
+  file.reserve(size);
   BinaryWriter w(file);
   w.write(kMagic);
   w.write(kVersion);
   w.write(samples_per_chunk);
   w.write(n);
   w.write(num_chunks);
-  std::uint64_t offset = file.size() + num_chunks * 3 * sizeof(std::uint64_t);
+  std::uint64_t offset = kHeaderBytes + num_chunks * kChunkEntryBytes;
   for (std::uint64_t c = 0; c < num_chunks; ++c) {
     w.write<std::uint64_t>(offset);
-    w.write<std::uint64_t>(chunks[c].size());
-    w.write<std::uint64_t>(first_sample[c]);
-    offset += chunks[c].size();
+    w.write<std::uint64_t>(chunk_bytes[c]);
+    w.write<std::uint64_t>(chunk_first(c));
+    offset += chunk_bytes[c];
   }
-  for (const auto& chunk : chunks) w.write_bytes(ByteSpan(chunk));
+  for (std::uint64_t c = 0; c < num_chunks; ++c) {
+    const std::uint64_t first = chunk_first(c);
+    const std::uint64_t last = chunk_last(c);
+    w.write<std::uint32_t>(static_cast<std::uint32_t>(last - first));
+    std::uint64_t rel =
+        sizeof(std::uint32_t) + (last - first) * kSampleEntryBytes;
+    for (std::uint64_t i = first; i < last; ++i) {
+      w.write<std::uint64_t>(rel);
+      w.write<std::uint64_t>(lengths[i]);
+      rel += lengths[i];
+    }
+    for (std::uint64_t i = first; i < last; ++i) samples[i].serialize(file);
+  }
+  DDS_CHECK(file.size() == size);
 
   const std::uint64_t nominal = std::max<std::uint64_t>(
       dataset.spec().nominal_cff_sample_bytes() * n, file.size());
-  fs.write_file(path, ByteSpan(file), nominal);
+  fs.write_file(path, std::move(file), nominal);
 }
 
 H5fReader::H5fReader(fs::ParallelFileSystem& fs, std::string path,
@@ -67,9 +95,10 @@ H5fReader::H5fReader(fs::ParallelFileSystem& fs, std::string path,
     : path_(std::move(path)),
       nominal_sample_bytes_(nominal_sample_bytes),
       decode_(decode) {
-  const ByteBuffer raw = fs.read_file_raw(path_);
+  // Parse the index in place, from the FS object itself.
   ref_ = fs.make_ref(path_);
-  BinaryReader r{ByteSpan(raw)};
+  const ByteSpan raw(*ref_.payload);
+  BinaryReader r{raw};
   if (r.read<std::uint32_t>() != kMagic) {
     throw DataError("H5fReader: bad magic in " + path_);
   }
@@ -79,6 +108,11 @@ H5fReader::H5fReader(fs::ParallelFileSystem& fs, std::string path,
   samples_per_chunk_ = r.read<std::uint32_t>();
   num_samples_ = r.read<std::uint64_t>();
   const auto num_chunks = r.read<std::uint64_t>();
+  if (samples_per_chunk_ == 0 ||
+      num_chunks > r.remaining() / kChunkEntryBytes ||
+      num_samples_ > r.remaining() / kSampleEntryBytes) {
+    throw DataError("H5fReader: corrupt header in " + path_);
+  }
   chunk_offset_.reserve(num_chunks);
   chunk_length_.reserve(num_chunks);
   chunk_first_.reserve(num_chunks);
@@ -86,7 +120,10 @@ H5fReader::H5fReader(fs::ParallelFileSystem& fs, std::string path,
     chunk_offset_.push_back(r.read<std::uint64_t>());
     chunk_length_.push_back(r.read<std::uint64_t>());
     chunk_first_.push_back(r.read<std::uint64_t>());
-    if (chunk_offset_[c] + chunk_length_[c] > raw.size()) {
+    // Bounds are compared without adding, so corrupt entries cannot wrap
+    // into range.
+    if (chunk_length_[c] > raw.size() ||
+        chunk_offset_[c] > raw.size() - chunk_length_[c]) {
       throw DataError("H5fReader: corrupt chunk index in " + path_);
     }
   }
@@ -94,16 +131,23 @@ H5fReader::H5fReader(fs::ParallelFileSystem& fs, std::string path,
   sample_offset_.assign(num_samples_, 0);
   sample_length_.assign(num_samples_, 0);
   for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    BinaryReader cr{ByteSpan(raw.data() + chunk_offset_[c],
-                             chunk_length_[c])};
+    BinaryReader cr{raw.subspan(chunk_offset_[c], chunk_length_[c])};
     const auto count = cr.read<std::uint32_t>();
-    if (chunk_first_[c] + count > num_samples_) {
+    if (count > num_samples_ || chunk_first_[c] > num_samples_ - count) {
       throw DataError("H5fReader: chunk overruns sample table in " + path_);
+    }
+    // locate() finds a sample's chunk as index / samples_per_chunk, so
+    // chunk c must hold exactly the samples that division maps to it.
+    if (count > samples_per_chunk_ ||
+        chunk_first_[c] % samples_per_chunk_ != 0 ||
+        chunk_first_[c] / samples_per_chunk_ != c) {
+      throw DataError("H5fReader: chunk " + std::to_string(c) +
+                      " is out of place in " + path_);
     }
     for (std::uint32_t i = 0; i < count; ++i) {
       const auto rel = cr.read<std::uint64_t>();
       const auto len = cr.read<std::uint64_t>();
-      if (rel + len > chunk_length_[c]) {
+      if (len > chunk_length_[c] || rel > chunk_length_[c] - len) {
         throw DataError("H5fReader: corrupt sample entry in " + path_);
       }
       sample_offset_[chunk_first_[c] + i] = chunk_offset_[c] + rel;

@@ -1,6 +1,8 @@
 #include "formats/pff.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace dds::formats {
 
@@ -16,12 +18,12 @@ void PffWriter::stage(fs::ParallelFileSystem& fs, const std::string& prefix,
                       const datagen::SyntheticDataset& dataset) {
   const std::uint64_t nominal = dataset.spec().nominal_pff_sample_bytes();
   for (std::uint64_t i = 0; i < dataset.size(); ++i) {
-    const ByteBuffer bytes = dataset.make(i).to_bytes();
+    ByteBuffer bytes = dataset.make(i).to_bytes();
     // Nominal size can never be below the real payload; take the max so
     // tiny scaled samples still stamp the paper-scale size.
     const std::uint64_t nominal_size =
         std::max<std::uint64_t>(nominal, bytes.size());
-    fs.write_file(sample_path(prefix, i), ByteSpan(bytes), nominal_size);
+    fs.write_file(sample_path(prefix, i), std::move(bytes), nominal_size);
   }
 }
 

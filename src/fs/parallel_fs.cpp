@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "faults/injector.hpp"
 
@@ -44,14 +45,15 @@ ParallelFileSystem::ParallelFileSystem(model::FsParams params, int nnodes)
   }
 }
 
-void ParallelFileSystem::write_file(const std::string& path, ByteSpan data,
+void ParallelFileSystem::write_file(const std::string& path, ByteBuffer data,
                                     std::uint64_t nominal_size) {
+  const std::uint64_t nominal = nominal_size == 0 ? data.size() : nominal_size;
+  DDS_CHECK_MSG(nominal >= data.size(),
+                "nominal size must be >= actual payload");
   auto& f = files_[path];
   if (f.id == 0) f.id = next_id_++;
-  f.data.assign(data.begin(), data.end());
-  f.nominal_size = nominal_size == 0 ? data.size() : nominal_size;
-  DDS_CHECK_MSG(f.nominal_size >= f.data.size(),
-                "nominal size must be >= actual payload");
+  f.data = std::move(data);
+  f.nominal_size = nominal;
 }
 
 bool ParallelFileSystem::exists(const std::string& path) const {
@@ -169,7 +171,9 @@ FileRef FsClient::open(const std::string& path) {
 
 void FsClient::pread(const FileRef& file, MutableByteSpan dst,
                      std::uint64_t offset, bool sequential, bool cacheable) {
-  if (offset + dst.size() > file.actual_size) {
+  // Compared without adding: a corrupt offset must not wrap past the end.
+  if (dst.size() > file.actual_size ||
+      offset > file.actual_size - dst.size()) {
     throw IoError("pread past end of file (offset " + std::to_string(offset) +
                   " + " + std::to_string(dst.size()) + " > " +
                   std::to_string(file.actual_size) + ")");

@@ -66,9 +66,11 @@ class ParallelFileSystem {
 
   // ---- untimed staging interface (dataset preparation) -----------------
 
-  /// Creates or replaces a file.  `nominal_size` defaults to the actual
-  /// payload size; pass the paper-scale size for scaled-down datasets.
-  void write_file(const std::string& path, ByteSpan data,
+  /// Creates or replaces a file, adopting `data` as its payload: the FS
+  /// keeps the caller's buffer, so a moved-in container is never copied.
+  /// `nominal_size` defaults to the actual payload size; pass the
+  /// paper-scale size for scaled-down datasets.
+  void write_file(const std::string& path, ByteBuffer data,
                   std::uint64_t nominal_size = 0);
 
   bool exists(const std::string& path) const;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "datagen/dataset.hpp"
 #include "formats/cff.hpp"
 #include "formats/pff.hpp"
@@ -110,7 +113,7 @@ TEST_F(FormatsTest, CffCorruptMagicRejected) {
   const auto path = CffWriter::subfile_path("cff/aisd", 0);
   ByteBuffer raw = fs_.read_file_raw(path);
   raw[0] = std::byte{0xff};
-  fs_.write_file(path, ByteSpan(raw), fs_.nominal_file_size(path));
+  fs_.write_file(path, raw, fs_.nominal_file_size(path));
   EXPECT_THROW(CffReader(fs_, "cff/aisd", 1000), DataError);
 }
 
@@ -119,7 +122,34 @@ TEST_F(FormatsTest, CffTruncatedContainerRejected) {
   const auto path = CffWriter::subfile_path("cff/aisd", 0);
   ByteBuffer raw = fs_.read_file_raw(path);
   raw.resize(raw.size() / 2);
-  fs_.write_file(path, ByteSpan(raw));
+  fs_.write_file(path, raw);
+  EXPECT_THROW(CffReader(fs_, "cff/aisd", 1000), DataError);
+}
+
+TEST_F(FormatsTest, CffIndexEntryThatWrapsIsRejected) {
+  // offset 2^64-16 plus length 16 wraps to 0: the bound must not add
+  // before comparing, or the entry opens and reads before the file.
+  CffWriter::stage(fs_, "cff/aisd", *ds_, 1);
+  const auto path = CffWriter::subfile_path("cff/aisd", 0);
+  ByteBuffer raw = fs_.read_file_raw(path);
+  const std::uint64_t entry[2] = {~std::uint64_t{0} - 15, 16};
+  const std::size_t header = sizeof(std::uint32_t) + sizeof(std::uint16_t) +
+                             2 * sizeof(std::uint64_t);
+  std::memcpy(raw.data() + header, entry, sizeof(entry));
+  fs_.write_file(path, std::move(raw), fs_.nominal_file_size(path));
+  EXPECT_THROW(CffReader(fs_, "cff/aisd", 1000), DataError);
+}
+
+TEST_F(FormatsTest, CffIndexCountBeyondTheFileIsRejected) {
+  // A corrupt sample count must fail as corrupt data before it sizes any
+  // allocation.
+  CffWriter::stage(fs_, "cff/aisd", *ds_, 1);
+  const auto path = CffWriter::subfile_path("cff/aisd", 0);
+  ByteBuffer raw = fs_.read_file_raw(path);
+  const std::uint64_t count = std::uint64_t{1} << 62;
+  std::memcpy(raw.data() + sizeof(std::uint32_t) + sizeof(std::uint16_t),
+              &count, sizeof(count));
+  fs_.write_file(path, std::move(raw), fs_.nominal_file_size(path));
   EXPECT_THROW(CffReader(fs_, "cff/aisd", 1000), DataError);
 }
 

@@ -29,7 +29,7 @@ double closed_loop_pff_latency(int nranks, int ops) {
   machine.fs.mds_occupancy_s = 100e-6;  // exaggerate for a visible knee
   ParallelFileSystem pfs(machine.fs, machine.nodes_for_ranks(nranks));
   for (int i = 0; i < 64; ++i) {
-    pfs.write_file(file_name(i), ByteSpan(blob(100)));
+    pfs.write_file(file_name(i), blob(100));
   }
   RunningStats lat;
   simmpi::Runtime rt(nranks, machine);
@@ -62,7 +62,7 @@ TEST(FsModel, JitterIsMeanPreserving) {
   machine.fs.jitter_sigma = 0.3;
   machine.fs.stall_prob = 0.0;
   ParallelFileSystem pfs(machine.fs, 1);
-  pfs.write_file("f", ByteSpan(blob(10)));
+  pfs.write_file("f", blob(10));
   model::VirtualClock clock;
   Rng rng(3);
   FsClient client(pfs, 0, clock, rng);
@@ -84,7 +84,7 @@ TEST(FsModel, StallsProduceTail) {
   machine.fs.stall_prob = 0.05;
   machine.fs.stall_factor = 10.0;
   ParallelFileSystem pfs(machine.fs, 1);
-  pfs.write_file("f", ByteSpan(blob(10)));
+  pfs.write_file("f", blob(10));
   model::VirtualClock clock;
   Rng rng(4);
   FsClient client(pfs, 0, clock, rng);
@@ -101,7 +101,7 @@ TEST(FsModel, StallsProduceTail) {
 TEST(FsModel, UncacheableReadsNeverHit) {
   const auto machine = test_machine();
   ParallelFileSystem pfs(machine.fs, 1);
-  pfs.write_file("f", ByteSpan(blob(1000)));
+  pfs.write_file("f", blob(1000));
   model::VirtualClock clock;
   Rng rng(5);
   FsClient client(pfs, 0, clock, rng);
@@ -113,7 +113,7 @@ TEST(FsModel, UncacheableReadsNeverHit) {
 TEST(FsModel, CacheHitSkipsRpcLatency) {
   const auto machine = test_machine();
   ParallelFileSystem pfs(machine.fs, 1);
-  pfs.write_file("f", ByteSpan(blob(100)));
+  pfs.write_file("f", blob(100));
   model::VirtualClock clock;
   Rng rng(6);
   FsClient client(pfs, 0, clock, rng);
@@ -132,8 +132,8 @@ TEST(FsModel, AmplifiedContainerReadSlowerThanSmallObjectRead) {
   // PFF-style whole-small-file read minus its metadata open.
   const auto machine = test_machine();
   ParallelFileSystem pfs(machine.fs, 1);
-  pfs.write_file("small", ByteSpan(blob(200)), 8000);
-  pfs.write_file("container", ByteSpan(blob(100'000)), 400'000'000);
+  pfs.write_file("small", blob(200), 8000);
+  pfs.write_file("container", blob(100'000), 400'000'000);
   model::VirtualClock clock;
   Rng rng(7);
   FsClient client(pfs, 0, clock, rng);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "simmpi/runtime.hpp"
 
 namespace dds::fs {
@@ -27,7 +29,7 @@ class FsTest : public ::testing::Test {
 
 TEST_F(FsTest, WriteReadRoundTrip) {
   const auto data = make_bytes(1000, 3);
-  fs_.write_file("a/b.bin", ByteSpan(data));
+  fs_.write_file("a/b.bin", data);
   EXPECT_TRUE(fs_.exists("a/b.bin"));
   EXPECT_EQ(fs_.file_size("a/b.bin"), 1000u);
   EXPECT_EQ(fs_.read_file_raw("a/b.bin"), data);
@@ -45,9 +47,9 @@ TEST_F(FsTest, MissingFileThrows) {
 }
 
 TEST_F(FsTest, ListFiltersByPrefixSorted) {
-  fs_.write_file("ds/b", ByteSpan(make_bytes(1)));
-  fs_.write_file("ds/a", ByteSpan(make_bytes(1)));
-  fs_.write_file("other/x", ByteSpan(make_bytes(1)));
+  fs_.write_file("ds/b", make_bytes(1));
+  fs_.write_file("ds/a", make_bytes(1));
+  fs_.write_file("other/x", make_bytes(1));
   const auto ls = fs_.list("ds/");
   ASSERT_EQ(ls.size(), 2u);
   EXPECT_EQ(ls[0], "ds/a");
@@ -56,17 +58,37 @@ TEST_F(FsTest, ListFiltersByPrefixSorted) {
 }
 
 TEST_F(FsTest, NominalSizeDefaultsToActualAndValidates) {
-  fs_.write_file("x", ByteSpan(make_bytes(100)));
+  fs_.write_file("x", make_bytes(100));
   EXPECT_EQ(fs_.nominal_file_size("x"), 100u);
-  fs_.write_file("y", ByteSpan(make_bytes(100)), 1'000'000);
+  fs_.write_file("y", make_bytes(100), 1'000'000);
   EXPECT_EQ(fs_.nominal_file_size("y"), 1'000'000u);
-  EXPECT_THROW(fs_.write_file("z", ByteSpan(make_bytes(100)), 50),
+  EXPECT_THROW(fs_.write_file("z", make_bytes(100), 50),
                InternalError);
+}
+
+TEST_F(FsTest, WriteFileAdoptsTheCallersBuffer) {
+  // The FS keeps the moved-in buffer itself: staging a container costs no
+  // second copy of its bytes.
+  ByteBuffer data = make_bytes(4096, 1);
+  const std::byte* const before = data.data();
+  fs_.write_file("adopted", std::move(data));
+  EXPECT_EQ(fs_.make_ref("adopted").payload->data(), before);
+  EXPECT_EQ(fs_.read_file_raw("adopted"), make_bytes(4096, 1));
+}
+
+TEST_F(FsTest, PreadRejectsAnOffsetThatWrapsPastTheEnd) {
+  // offset + size wraps to 8: the bound must not add before comparing.
+  fs_.write_file("f", make_bytes(100));
+  FsClient client(fs_, 0, clock_, rng_);
+  const auto ref = client.open("f");
+  ByteBuffer dst(16);
+  EXPECT_THROW(client.pread(ref, MutableByteSpan(dst), ~std::uint64_t{0} - 7),
+               IoError);
 }
 
 TEST_F(FsTest, PreadReturnsCorrectSlice) {
   const auto data = make_bytes(5000, 9);
-  fs_.write_file("f", ByteSpan(data));
+  fs_.write_file("f", data);
   FsClient client(fs_, 0, clock_, rng_);
   const auto ref = client.open("f");
   ByteBuffer dst(100);
@@ -76,7 +98,7 @@ TEST_F(FsTest, PreadReturnsCorrectSlice) {
 }
 
 TEST_F(FsTest, OpenChargesMdsCost) {
-  fs_.write_file("f", ByteSpan(make_bytes(10)));
+  fs_.write_file("f", make_bytes(10));
   FsClient client(fs_, 0, clock_, rng_);
   client.open("f");
   const auto& p = test_machine().fs;
@@ -85,7 +107,7 @@ TEST_F(FsTest, OpenChargesMdsCost) {
 }
 
 TEST_F(FsTest, RereadHitsPageCacheAndIsFaster) {
-  fs_.write_file("f", ByteSpan(make_bytes(1000)));
+  fs_.write_file("f", make_bytes(1000));
   FsClient client(fs_, 0, clock_, rng_);
   const auto ref = client.open("f");
   ByteBuffer dst(1000);
@@ -104,7 +126,7 @@ TEST_F(FsTest, RereadHitsPageCacheAndIsFaster) {
 }
 
 TEST_F(FsTest, CachesArePerNode) {
-  fs_.write_file("f", ByteSpan(make_bytes(100)));
+  fs_.write_file("f", make_bytes(100));
   FsClient c0(fs_, 0, clock_, rng_);
   model::VirtualClock clock1;
   FsClient c1(fs_, 1, clock1, rng_);
@@ -116,7 +138,7 @@ TEST_F(FsTest, CachesArePerNode) {
 }
 
 TEST_F(FsTest, RandomReadCostsMoreThanSequential) {
-  fs_.write_file("f", ByteSpan(make_bytes(1000)));
+  fs_.write_file("f", make_bytes(1000));
   FsClient client(fs_, 0, clock_, rng_);
   const auto ref = client.open("f");
   ByteBuffer dst(1000);
@@ -133,7 +155,7 @@ TEST_F(FsTest, RandomReadCostsMoreThanSequential) {
 TEST_F(FsTest, NominalScaleDrivesReadAmplification) {
   // 1 KB actual payload presented as 10 MB nominal: a full-file read must
   // pull nominal blocks (10 MB / 64 KiB = ~160 blocks) through the FS.
-  fs_.write_file("big", ByteSpan(make_bytes(1000)), 10'000'000);
+  fs_.write_file("big", make_bytes(1000), 10'000'000);
   FsClient client(fs_, 0, clock_, rng_);
   const auto ref = client.open("big");
   EXPECT_NEAR(ref.scale, 10'000.0, 1.0);
@@ -146,7 +168,7 @@ TEST_F(FsTest, NominalScaleDrivesReadAmplification) {
 TEST_F(FsTest, SmallSampleInLargeContainerTouchesOneBlock) {
   // A CFF-style access: tiny actual range in a huge nominal container
   // should amplify to ~one block, not the whole file.
-  fs_.write_file("container", ByteSpan(make_bytes(100'000)), 100'000'000);
+  fs_.write_file("container", make_bytes(100'000), 100'000'000);
   FsClient client(fs_, 0, clock_, rng_);
   const auto ref = client.open("container");
   ByteBuffer dst(10);  // maps to ~10 KB nominal, inside 64 KiB blocks
@@ -158,7 +180,7 @@ TEST_F(FsTest, SmallSampleInLargeContainerTouchesOneBlock) {
 TEST_F(FsTest, SharedBandwidthSerializesConcurrentMisses) {
   // Two clients pulling large reads at the same virtual time queue at the
   // aggregate-bandwidth resource: the second finishes later.
-  fs_.write_file("f", ByteSpan(make_bytes(100)), 10'000'000);
+  fs_.write_file("f", make_bytes(100), 10'000'000);
   model::VirtualClock ca, cb;
   FsClient a(fs_, 0, ca, rng_);
   FsClient b(fs_, 1, cb, rng_);
@@ -173,7 +195,7 @@ TEST_F(FsTest, SharedBandwidthSerializesConcurrentMisses) {
 }
 
 TEST_F(FsTest, ResetTimeStateClearsCaches) {
-  fs_.write_file("f", ByteSpan(make_bytes(100)));
+  fs_.write_file("f", make_bytes(100));
   FsClient client(fs_, 0, clock_, rng_);
   ByteBuffer dst(100);
   client.pread(client.open("f"), MutableByteSpan(dst), 0);
@@ -185,7 +207,7 @@ TEST_F(FsTest, ResetTimeStateClearsCaches) {
 
 TEST_F(FsTest, UsableFromRankThreads) {
   // The FS is shared state accessed from every simmpi rank.
-  fs_.write_file("shared", ByteSpan(make_bytes(4096, 5)));
+  fs_.write_file("shared", make_bytes(4096, 5));
   simmpi::Runtime rt(8, test_machine());
   rt.run([&](simmpi::Comm& c) {
     FsClient client(fs_, test_machine().node_of_rank(c.world_rank()),
